@@ -4,7 +4,7 @@ the b-adic completion of C<a,b> with a·b - b·a = b².
 """
 
 from .abalgebra import ABElement, HomogChain, chain_expand, right_divide, theta_k
-from .critical import CriticalReport, check_singular_equation, critical_values
+from .critical import CriticalReport, check_singular_equation, critical_values, equation_holds
 from .engine import (
     GMOperator,
     PolySpec,
@@ -57,7 +57,7 @@ from .scalars import (
 
 __all__ = [
     "ABElement", "HomogChain", "chain_expand", "right_divide", "theta_k",
-    "CriticalReport", "check_singular_equation", "critical_values",
+    "CriticalReport", "check_singular_equation", "critical_values", "equation_holds",
     "GMOperator", "PolySpec", "RelationData", "analyze", "build_operator",
     "check_condition_C", "monomial_chain", "chain_paths_agree", "cyclic_symmetric_spec",
     "load_spec_file", "symmetric_family_bracket", "symmetric_family_operator",

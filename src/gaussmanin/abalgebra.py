@@ -249,12 +249,6 @@ class ABElement:
             {key: c for key, c in self.terms.items() if key[0] + key[1] == degree},
             self.trunc)
 
-    def components(self) -> dict[int, "ABElement"]:
-        degs: dict[int, dict] = {}
-        for key, c in self.terms.items():
-            degs.setdefault(key[0] + key[1], {})[key] = c
-        return {d: self._make(t, self.trunc) for d, t in sorted(degs.items())}
-
     def initial_form(self) -> "ABElement":
         """The homogeneous component of lowest (a,b)-degree."""
         if not self.terms:
@@ -298,14 +292,6 @@ class ABElement:
             v = c.evaluate(value)
             if v:
                 out[key] = LaurentLambda.const(v)
-        return self._make(out, self.trunc)
-
-    def map_coefficients(self, fn) -> "ABElement":
-        out = {}
-        for key, c in self.terms.items():
-            v = as_laurent(fn(c))
-            if v:
-                out[key] = v
         return self._make(out, self.trunc)
 
     # -- io ---------------------------------------------------------------------
@@ -440,12 +426,6 @@ class HomogChain:
                 out = out * ABElement.linear(eta, theta)
             self._cache.append(out)
         return self._cache[0]
-
-    def monic_expand(self) -> ABElement:
-        lead = self.leading
-        if lead == 0:
-            raise ZeroElement("chain with vanishing leading coefficient")
-        return self.expand() * (1 / lead)
 
     def to_json(self) -> list:
         return [[str(e), str(t)] for e, t in self.factors]

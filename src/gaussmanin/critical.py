@@ -128,7 +128,7 @@ def critical_values(spec: PolySpec, lambda_value: complex, n_starts: int = 200,
 
     rng = np.random.default_rng(seed)
     scales = (0.5, 1.0, 2.0, 4.0)
-    points: list[np.ndarray] = []
+    raw_values = []
     n_converged = 0
     for start in range(n_starts):
         radius = scales[start % len(scales)]
@@ -151,19 +151,10 @@ def critical_values(spec: PolySpec, lambda_value: complex, n_starts: int = 200,
                 break
         if not ok:
             continue
-        g = np.array([_eval_terms(gi, x) for gi in grad])
-        scale = max(1.0, float(np.max(np.abs(x))) ** max(1, max_deg - 1))
-        residual = float(np.max(np.abs(g))) / scale
+        residual = float(np.max(np.abs(g))) / scale   # g and scale were taken at x
         if residual < keep:
             n_converged += 1
-            points.append(x)
-
-    raw_values = []
-    for x in points:
-        v = _eval_terms(terms, x)
-        g = np.array([_eval_terms(gi, x) for gi in grad])
-        scale = max(1.0, float(np.max(np.abs(x))) ** max(1, max_deg - 1))
-        raw_values.append((complex(v), float(np.max(np.abs(g))) / scale))
+            raw_values.append((complex(_eval_terms(terms, x)), residual))
 
     # deterministic merge: sort, cluster values closer than an 1e-8 blend
     raw_values.sort(key=lambda t: (round(t[0].real, 12), round(t[0].imag, 12)))
@@ -196,15 +187,18 @@ def critical_values(spec: PolySpec, lambda_value: complex, n_starts: int = 200,
     )
 
 
+def equation_holds(spec: PolySpec, report: CriticalReport, tol: float = 1e-9) -> bool:
+    """True iff every nonzero critical value s in the report satisfies
+    |s^h - c·λ^r| < tol·max(1, |s|^h)."""
+    rel = analyze(spec)
+    w = complex(rel.c) * report.lambda_value ** rel.r
+    return not any(abs(s ** rel.h - w) >= tol * max(1.0, abs(s) ** rel.h)
+                   for s, _ in report.found_values)
+
+
 def check_singular_equation(spec: PolySpec, lambda_value: complex,
                             tol: float = 1e-9, n_starts: int = 200,
                             seed: int = 0) -> bool:
-    """True iff every nonzero critical value s found by Newton satisfies
-    |s^h - c·λ^r| < tol·max(1, |s|^h)."""
-    rel = analyze(spec)
+    """Run the Newton search and check its values with `equation_holds`."""
     report = critical_values(spec, lambda_value, n_starts=n_starts, tol=tol, seed=seed)
-    w = complex(rel.c) * complex(lambda_value) ** rel.r
-    for s, _ in report.found_values:
-        if abs(s ** rel.h - w) >= tol * max(1.0, abs(s) ** rel.h):
-            return False
-    return True
+    return equation_holds(spec, report, tol)

@@ -13,6 +13,7 @@ yields the two monic homogeneous parts of the operator.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -94,10 +95,11 @@ class PolySpec:
     @classmethod
     def from_json(cls, data) -> "PolySpec":
         try:
-            n_vars = int(data["nvars"])
-            monomials = tuple(tuple(int(e) for e in m) for m in data["monomials"])
-            lam = tuple(int(e) for e in data["lambda_monomial"])
-            mu = tuple(int(e) for e in data.get("mu", [0] * n_vars))
+            n_vars = _json_int(data["nvars"], "nvars")
+            monomials = tuple(tuple(_json_int(e, "exponent") for e in m)
+                              for m in data["monomials"])
+            lam = tuple(_json_int(e, "exponent") for e in data["lambda_monomial"])
+            mu = tuple(_json_int(e, "mu entry") for e in data.get("mu", [0] * n_vars))
         except (KeyError, TypeError, ValueError) as exc:
             raise MalformedSpec(f"bad spec JSON: {exc}") from exc
         spec = cls(monomials, lam, mu)
@@ -114,6 +116,14 @@ class PolySpec:
         terms = [mono(m) for m in self.monomials]
         terms.append("λ·" + mono(self.lambda_monomial))
         return " + ".join(terms)
+
+
+def _json_int(x, what: str) -> int:
+    """x itself if it is a JSON integer; floats, strings and booleans are
+    refused rather than coerced."""
+    if not isinstance(x, int) or isinstance(x, bool):
+        raise MalformedSpec(f"bad spec JSON: {what} {json.dumps(x)} is not an integer")
+    return x
 
 
 def _var_names(n: int) -> list[str]:
@@ -213,11 +223,7 @@ def _analyze_columns(monomials, lambda_monomial) -> RelationData:
     sq = [[Fraction(spec.monomials[j][i]) for j in range(n)] for i in range(n)]
     rho = tuple(mat_solve(sq, [Fraction(e) for e in spec.lambda_monomial]))
 
-    r_abs = 1
-    for x in rho:
-        den = x.denominator
-        g = _gcd(r_abs, den)
-        r_abs = r_abs // g * den
+    r_abs = math.lcm(*(x.denominator for x in rho))
     p = tuple(int(x * r_abs) for x in rho)
     H = tuple(j for j, x in enumerate(rho) if x == 0)
     J_plus = tuple(j for j, x in enumerate(rho) if x > 0)
@@ -265,12 +271,6 @@ def _analyze_columns(monomials, lambda_monomial) -> RelationData:
     return rel
 
 
-def _gcd(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return a
-
-
 def _assert_relation_invariants(spec: PolySpec, rel: RelationData) -> None:
     n, mono = spec.n_vars, spec.n_monomials
     for i in range(n):
@@ -309,12 +309,18 @@ def monomial_chain(spec: PolySpec, gamma) -> tuple[HomogChain, Fraction]:
     for j in rel.H:
         if gamma[j]:
             raise GammaTouchesH(f"gamma has a nonzero entry at index {j} in H")
+    return _chain(spec, rel, gamma, range(mono))
 
+
+def _chain(spec: PolySpec, rel: RelationData, gamma,
+           order) -> tuple[HomogChain, Fraction]:
+    """The chain for m^gamma consuming the monomials in the given index order,
+    and the product κ of its a-coefficients."""
     exps = [Fraction(e) for e in spec.mu]   # Γ_i of the accumulated monomial
     factors: list[tuple[Fraction, Fraction]] = []
     kappa = Fraction(1)
     inv = rel.mtilde_inv
-    for j in range(mono):
+    for j in order:
         col = spec.column(j)
         for _ in range(gamma[j]):
             eta = inv[j][0]
@@ -335,20 +341,8 @@ def chain_paths_agree(spec: PolySpec, gamma) -> bool:
     module, so disagreement here is informative, not an error.
     """
     asc, _ = monomial_chain(spec, gamma)
-    rel = analyze(spec)
-    exps = [Fraction(e) for e in spec.mu]
-    factors: list[tuple[Fraction, Fraction]] = []
-    inv = rel.mtilde_inv
-    for j in range(spec.n_monomials - 1, -1, -1):
-        col = spec.column(j)
-        for _ in range(int(gamma[j])):
-            eta = inv[j][0]
-            theta = sum(inv[j][1 + i] * (exps[i] + 1) for i in range(spec.n_vars))
-            factors.append((eta, theta))
-            for i in range(spec.n_vars):
-                exps[i] += col[i]
-    factors.reverse()
-    desc = HomogChain(tuple(factors))
+    desc, _ = _chain(spec, analyze(spec), [int(g) for g in gamma],
+                     range(spec.n_monomials - 1, -1, -1))
     return asc.expand() == desc.expand()
 
 

@@ -101,10 +101,6 @@ class FactorizationResult:
                    int(data["trunc"]))
 
 
-def _poly_to_ab(p: UniPoly, trunc: int) -> ABElement:
-    return ABElement({(0, i): c for i, c in enumerate(p.coeffs)}, trunc)
-
-
 def _b_layer(p: ABElement, k: int) -> UniPoly:
     """Coefficient of b^k as a rational polynomial in a."""
     if not p.terms:
@@ -132,8 +128,8 @@ def _lift_pair(p: ABElement, f1: UniPoly, f2: UniPoly, order: int) -> tuple[ABEl
     because a·b^k = b^k·a + k·b^(k+1).
     """
     s, t = bezout(f1, f2)
-    left = _poly_to_ab(f1, order)
-    right = _poly_to_ab(f2, order)
+    left = ABElement.from_poly_in_a(f1, order)
+    right = ABElement.from_poly_in_a(f2, order)
     for k in range(1, order):
         defect = p - left * right
         if defect.is_zero():

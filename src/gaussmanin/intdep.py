@@ -56,6 +56,21 @@ def linear_forms(spec: PolySpec) -> LinearForms:
     return forms
 
 
+def factored_relation_str(spec: PolySpec) -> str:
+    """The relation Π L_j^Δ_j - λ^r·Π L_j^δ_j = 0 in the linear forms of
+    `linear_forms`; needs no expansion."""
+    rel = analyze(spec)
+    forms = linear_forms(spec)
+    n = spec.n_vars
+
+    def side(vec):
+        return "·".join(f"({forms.format_row(j, n)})^{vec[j]}"
+                        for j in range(len(vec)) if vec[j])
+
+    lam = "λ" if rel.r == 1 else f"λ^{rel.r}"
+    return f"{side(rel.Delta)} - {lam}·{side(rel.delta)} = 0"
+
+
 # sparse multivariate polynomials: exponent tuple -> integer coefficient
 _IntPoly = dict[tuple[int, ...], int]
 
@@ -94,14 +109,14 @@ class DependenceRelation:
 
     def to_json(self) -> dict:
         rel = analyze(self.spec)
-        forms = linear_forms(self.spec)
+        rows = linear_forms(self.spec).to_json()
         return {
             "degree": self.degree,
             "r": self.r,
             "factored": {
-                "Delta": [[forms.to_json()[j], rel.Delta[j]]
+                "Delta": [[rows[j], rel.Delta[j]]
                           for j in range(len(rel.Delta)) if rel.Delta[j]],
-                "delta": [[forms.to_json()[j], rel.delta[j]]
+                "delta": [[rows[j], rel.delta[j]]
                           for j in range(len(rel.delta)) if rel.delta[j]],
             },
             "coefficients": [
@@ -122,16 +137,7 @@ class DependenceRelation:
                    coefficients=tuple(coeffs))
 
     def factored_str(self) -> str:
-        rel = analyze(self.spec)
-        forms = linear_forms(self.spec)
-        n = self.spec.n_vars
-
-        def side(vec):
-            return "·".join(f"({forms.format_row(j, n)})^{vec[j]}"
-                            for j in range(len(vec)) if vec[j])
-
-        lam = "λ" if self.r == 1 else f"λ^{self.r}"
-        return f"{side(rel.Delta)} - {lam}·{side(rel.delta)} = 0"
+        return factored_relation_str(self.spec)
 
     def expanded_str(self, max_terms_per_coeff: int | None = None) -> str:
         lines = []
@@ -260,12 +266,11 @@ def _monomial_polys(spec: PolySpec) -> tuple[_XPoly, list[_XPoly]]:
     return f, us
 
 
-def verify_identity(spec: PolySpec) -> bool:
+def verify_identity(relation: DependenceRelation) -> bool:
     """Substitute the actual polynomials f and u_i = x_i·∂f/∂x_i into the
-    dependence relation and check that the expansion is exactly zero."""
-    relation = dependence_relation(spec)
-    f, us = _monomial_polys(spec)
-    n = spec.n_vars
+    expanded relation and check that the result is exactly zero."""
+    f, us = _monomial_polys(relation.spec)
+    n = relation.spec.n_vars
 
     max_pow = [0] * n
     for coeff in relation.coefficients:

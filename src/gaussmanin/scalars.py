@@ -21,10 +21,6 @@ def rational_to_str(x: Fraction) -> str:
     return str(x)
 
 
-def rational_from_str(s: str) -> Fraction:
-    return Fraction(s)
-
-
 # ---------------------------------------------------------------------------
 # Laurent polynomials in the symbolic parameter lambda
 # ---------------------------------------------------------------------------
@@ -199,9 +195,6 @@ class LaurentLambda:
         if value == 0 and any(e < 0 for e in self.coeffs):
             raise ZeroDivisionError("lambda = 0 with negative exponents")
         return sum((c * value ** e for e, c in self.coeffs.items()), Fraction(0))
-
-    def evaluate_complex(self, value: complex) -> complex:
-        return sum(complex(c) * value ** e for e, c in self.coeffs.items())
 
     def to_json(self) -> list:
         return [[e, rational_to_str(c)] for e, c in sorted(self.coeffs.items())]
@@ -606,18 +599,6 @@ def _fp_mulmod(a: list[int], b: list[int], mod: list[int], p: int) -> list[int]:
     return _fp_divmod(_fp_trim(out), mod, p)[1]
 
 
-def _fp_pow_x(exp: int, mod: list[int], p: int) -> list[int]:
-    """x^exp mod (mod) over F_p."""
-    result = [1]
-    base = _fp_divmod([0, 1], mod, p)[1]
-    while exp:
-        if exp & 1:
-            result = _fp_mulmod(result, base, mod, p)
-        base = _fp_mulmod(base, base, mod, p)
-        exp >>= 1
-    return result
-
-
 def _rational_reconstruct(r: int, m: int, num_bound: int, den_bound: int) -> Fraction | None:
     """Find p/q = r mod m with |p| <= num_bound, 0 < q <= den_bound."""
     v0, v1 = (m, 0), (r % m, 1)
@@ -833,79 +814,63 @@ def coprime_split(p: UniPoly) -> list[UniPoly]:
 # Small exact linear algebra over Q
 # ---------------------------------------------------------------------------
 
-def mat_rank(rows: list[list[Fraction]]) -> int:
-    m = [list(map(Fraction, r)) for r in rows]
+def _row_reduce(rows, extra=None) -> tuple[list[list[Fraction]], int, Fraction]:
+    """Gauss-Jordan elimination over Q, pivoting in the columns of rows only.
+
+    Each row is extended by the matching row of extra (if given) before the
+    elimination.  Returns the reduced extended matrix, the rank of rows and
+    det(rows), which is 0 when rows is singular or not square.
+    """
+    ncols = len(rows[0]) if rows else 0
+    if extra is None:
+        extra = [()] * len(rows)
+    m = [[Fraction(x) for x in row] + [Fraction(x) for x in ext]
+         for row, ext in zip(rows, extra)]
     rank = 0
-    cols = len(m[0]) if m else 0
-    for c in range(cols):
+    det = Fraction(1)
+    for c in range(ncols):
+        if rank == len(m):
+            break
         piv = next((r for r in range(rank, len(m)) if m[r][c] != 0), None)
         if piv is None:
             continue
-        m[rank], m[piv] = m[piv], m[rank]
+        if piv != rank:
+            m[rank], m[piv] = m[piv], m[rank]
+            det = -det
         pv = m[rank][c]
+        det *= pv
         m[rank] = [x / pv for x in m[rank]]
         for r in range(len(m)):
             if r != rank and m[r][c] != 0:
                 f = m[r][c]
                 m[r] = [x - f * y for x, y in zip(m[r], m[rank])]
         rank += 1
-        if rank == len(m):
-            break
-    return rank
+    if not rank == ncols == len(m):
+        det = Fraction(0)
+    return m, rank, det
+
+
+def mat_rank(rows: list[list[Fraction]]) -> int:
+    return _row_reduce(rows)[1]
 
 
 def mat_inverse(rows: list[list[Fraction]]) -> list[list[Fraction]]:
     """Exact inverse by Gauss-Jordan elimination; raises on singular input."""
     n = len(rows)
-    m = [list(map(Fraction, r)) + [Fraction(i == j) for j in range(n)]
-         for i, r in enumerate(rows)]
-    for c in range(n):
-        piv = next((r for r in range(c, n) if m[r][c] != 0), None)
-        if piv is None:
-            raise ValueError("singular matrix")
-        m[c], m[piv] = m[piv], m[c]
-        pv = m[c][c]
-        m[c] = [x / pv for x in m[c]]
-        for r in range(n):
-            if r != c and m[r][c] != 0:
-                f = m[r][c]
-                m[r] = [x - f * y for x, y in zip(m[r], m[c])]
+    m, rank, _ = _row_reduce(rows, [[int(i == j) for j in range(n)] for i in range(n)])
+    if rank != n:
+        raise ValueError("singular matrix")
     return [row[n:] for row in m]
 
 
 def mat_solve(rows: list[list[Fraction]], rhs: list[Fraction]) -> list[Fraction]:
     """Solve a square exact linear system."""
     n = len(rows)
-    m = [list(map(Fraction, r)) + [Fraction(v)] for r, v in zip(rows, rhs)]
-    for c in range(n):
-        piv = next((r for r in range(c, n) if m[r][c] != 0), None)
-        if piv is None:
-            raise ValueError("singular matrix")
-        m[c], m[piv] = m[piv], m[c]
-        pv = m[c][c]
-        m[c] = [x / pv for x in m[c]]
-        for r in range(n):
-            if r != c and m[r][c] != 0:
-                f = m[r][c]
-                m[r] = [x - f * y for x, y in zip(m[r], m[c])]
+    m, rank, _ = _row_reduce(rows, [[v] for v in rhs])
+    if rank != n:
+        raise ValueError("singular matrix")
     return [m[r][n] for r in range(n)]
 
 
 def mat_det(rows: list[list[Fraction]]) -> Fraction:
-    n = len(rows)
-    m = [list(map(Fraction, r)) for r in rows]
-    det = Fraction(1)
-    for c in range(n):
-        piv = next((r for r in range(c, n) if m[r][c] != 0), None)
-        if piv is None:
-            return Fraction(0)
-        if piv != c:
-            m[c], m[piv] = m[piv], m[c]
-            det = -det
-        det *= m[c][c]
-        pv = m[c][c]
-        for r in range(c + 1, n):
-            if m[r][c] != 0:
-                f = m[r][c] / pv
-                m[r] = [x - f * y for x, y in zip(m[r], m[c])]
-    return det
+    return _row_reduce(rows)[2]

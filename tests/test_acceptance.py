@@ -88,11 +88,11 @@ def test_criterion_4_integral_dependence():
         e3 = load_spec_file(SPEC_DIR / "e3.json")
         relation = dependence_relation(e3)
         assert relation.degree == 13 and relation.is_monic()
-        assert verify_identity(e3)
+        assert verify_identity(relation)
         e2 = load_spec_file(SPEC_DIR / "e2.json")
         relation2 = dependence_relation(e2)
         assert relation2.degree == 6 and relation2.is_monic()
-        assert verify_identity(e2)
+        assert verify_identity(relation2)
 
 
 def test_criterion_5_algebra_identity_suite():

@@ -3,6 +3,7 @@ import json
 import pytest
 
 from conftest import SPEC_DIR
+from gaussmanin import cli, critical, intdep
 from gaussmanin.cli import main
 from gaussmanin.engine import RelationData, GMOperator, analyze, build_operator, load_spec_file
 from gaussmanin.ode import DiffOp
@@ -117,6 +118,49 @@ def test_intdep_json(capsys):
     assert data["verified"] is True
 
 
+def _count_calls(monkeypatch, name, modules):
+    """Replace `name` in each module by one wrapper that counts its calls."""
+    calls = []
+    real = getattr(modules[0], name)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    for module in modules:
+        monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def test_intdep_text_does_not_expand(capsys, monkeypatch):
+    def refuse(spec):
+        raise AssertionError("text intdep expanded the relation")
+
+    monkeypatch.setattr(cli, "dependence_relation", refuse)
+    monkeypatch.setattr(intdep, "dependence_relation", refuse)
+    code, out, _ = run_cli(capsys, "intdep", str(SPEC_DIR / "e3.json"))
+    assert code == 0
+    assert "degree 13" in out and out.rstrip().endswith("= 0")
+
+
+@pytest.mark.parametrize("flags", [("--verify",), ("--expanded",),
+                                   ("--verify", "--format", "json")])
+def test_intdep_expands_once(capsys, monkeypatch, flags):
+    calls = _count_calls(monkeypatch, "dependence_relation", [cli, intdep])
+    code, _, _ = run_cli(capsys, "intdep", str(SPEC_DIR / "e2.json"), *flags)
+    assert code == 0
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_verify_critical_runs_one_search(capsys, monkeypatch, fmt):
+    calls = _count_calls(monkeypatch, "critical_values", [cli, critical])
+    code, _, _ = run_cli(capsys, "verify-critical", str(SPEC_DIR / "e2.json"),
+                         "--starts", "40", "--format", fmt)
+    assert code == 0
+    assert len(calls) == 1
+
+
 def test_verify_critical(capsys):
     code, out, _ = run_cli(capsys, "verify-critical", str(SPEC_DIR / "e2.json"),
                            "--lambda", "1", "--starts", "40")
@@ -157,6 +201,19 @@ def test_schema_error_exits_2(capsys, tmp_path):
                                "lambda_monomial": [1, 1]}))
     code, _, err = run_cli(capsys, "analyze", str(bad))
     assert code == 2
+
+
+@pytest.mark.parametrize("field, value", [("monomials", [[2.7, 0], [0, 3]]),
+                                          ("lambda_monomial", [True, 1]),
+                                          ("mu", ["0", 0]), ("nvars", 2.0)])
+def test_non_integer_spec_entry_exits_2(capsys, tmp_path, field, value):
+    data = {"nvars": 2, "monomials": [[2, 0], [0, 3]], "lambda_monomial": [1, 1],
+            "mu": [0, 0], field: value}
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(data))
+    code, out, err = run_cli(capsys, "analyze", str(bad))
+    assert code == 2 and out == ""
+    assert err.count("\n") == 1 and "not an integer" in err
 
 
 def test_unknown_flag_rejected():

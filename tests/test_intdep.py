@@ -58,14 +58,14 @@ def test_dependence_relation_e61_degree_76(e61):
 
 
 def test_verify_identity_corpus(e2, e3, e4):
-    assert verify_identity(e2)
-    assert verify_identity(e3)
-    assert verify_identity(e4)
+    assert verify_identity(dependence_relation(e2))
+    assert verify_identity(dependence_relation(e3))
+    assert verify_identity(dependence_relation(e4))
 
 
 def test_verify_identity_family_member():
     spec = cyclic_symmetric_spec(FAMILY_ALPHAS[1])
-    assert verify_identity(spec)
+    assert verify_identity(dependence_relation(spec))
 
 
 def test_relation_lambda_exponent(e2, e3):
@@ -112,4 +112,4 @@ def test_verify_identity_random_specs():
     rng = random.Random(77)
     for _ in range(3):
         spec = random_spec(rng, max_vars=3, max_entry=5, max_weight=12)
-        assert verify_identity(spec)
+        assert verify_identity(dependence_relation(spec))

@@ -3,6 +3,9 @@ import random
 from fractions import Fraction
 
 import pytest
+import sympy
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gaussmanin.errors import NotCoprime
 from gaussmanin.scalars import (
@@ -186,6 +189,54 @@ def test_exact_linear_algebra():
     assert sol == [row[0] for row in inv]
     with pytest.raises(ValueError):
         mat_inverse([[Fraction(1), Fraction(2)], [Fraction(2), Fraction(4)]])
+
+
+_small_fractions = st.builds(Fraction, st.integers(-3, 3), st.integers(1, 3))
+
+
+def _matrices(n_rows, n_cols):
+    return st.lists(st.lists(_small_fractions, min_size=n_cols, max_size=n_cols),
+                    min_size=n_rows, max_size=n_rows)
+
+
+@st.composite
+def _square_systems(draw):
+    """A square matrix, singular about half the time, and a right-hand side."""
+    n = draw(st.integers(1, 4))
+    rows = draw(_matrices(n, n))
+    if draw(st.booleans()):
+        k = draw(_small_fractions)
+        rows[-1] = [k * x for x in rows[0]]
+    return rows, draw(st.lists(_small_fractions, min_size=n, max_size=n))
+
+
+def _to_fractions(matrix):
+    return [[Fraction(int(x.p), int(x.q)) for x in matrix.row(i)] for i in range(matrix.rows)]
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(1, 4), st.integers(1, 4), st.data())
+def test_mat_rank_matches_sympy(n_rows, n_cols, data):
+    rows = data.draw(_matrices(n_rows, n_cols))
+    assert mat_rank(rows) == sympy.Matrix(rows).rank()
+
+
+@settings(max_examples=150, deadline=None)
+@given(_square_systems())
+def test_square_linear_algebra_matches_sympy(system):
+    rows, rhs = system
+    ref = sympy.Matrix(rows)
+    det = ref.det()
+    assert mat_det(rows) == Fraction(int(det.p), int(det.q))
+    assert mat_rank(rows) == ref.rank()
+    if det == 0:
+        with pytest.raises(ValueError, match="singular matrix"):
+            mat_inverse(rows)
+        with pytest.raises(ValueError, match="singular matrix"):
+            mat_solve(rows, rhs)
+    else:
+        assert mat_inverse(rows) == _to_fractions(ref.inv())
+        assert mat_solve(rows, rhs) == [r[0] for r in _to_fractions(ref.LUsolve(sympy.Matrix(rhs)))]
 
 
 def test_rational_roots_large_denominator():
