@@ -10,7 +10,7 @@ Elements are immutable; every operation is pure.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
 
@@ -386,7 +386,7 @@ def theta_k(p: ABElement, k: int) -> ABElement:
     gen = ABElement.linear(Fraction(1), Fraction(-k))  # a - k·b
     powers = [ABElement.one()]
     for _ in range(amax):
-        powers.append(powers[-1] * gen)
+        powers.append(gen * powers[-1])
     out = ABElement.zero()
     for (kk, i), c in p.terms.items():
         sign = Fraction(-1) ** kk
@@ -406,7 +406,6 @@ class HomogChain:
     """Ordered product of degree-1 factors (eta·a + theta·b), leftmost first."""
 
     factors: tuple[tuple[Fraction, Fraction], ...]
-    _cache: list = field(default_factory=list, repr=False, compare=False)
 
     @property
     def degree(self) -> int:
@@ -420,12 +419,12 @@ class HomogChain:
         return out
 
     def expand(self) -> ABElement:
-        if not self._cache:
-            out = ABElement.one()
-            for eta, theta in self.factors:
-                out = out * ABElement.linear(eta, theta)
-            self._cache.append(out)
-        return self._cache[0]
+        # Multiply from the left: a·b^k = b^k·a + k·b^(k+1), so a degree-1
+        # factor meets each term once and a step is linear in the term count.
+        out = ABElement.one()
+        for eta, theta in reversed(self.factors):
+            out = ABElement.linear(eta, theta) * out
+        return out
 
     def to_json(self) -> list:
         return [[str(e), str(t)] for e, t in self.factors]

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -21,6 +22,9 @@ from .factor import regular_quotient_pipeline
 from .intdep import dependence_relation, factored_relation_str, verify_identity
 from .critical import critical_values, equation_holds
 from .ode import singular_values, to_differential_operator
+
+
+MAX_ORDER = 2000   # largest d+h accepted: every output grows with it
 
 
 def _fmt_tuple(xs) -> str:
@@ -54,7 +58,7 @@ def _cmd_analyze(args) -> int:
             raise PreconditionError(f"no .json spec files in {base}")
     out = []
     for path in paths:
-        spec = load_spec_file(path)
+        spec = _load_spec(path)
         if args.format == "json":
             out.append(json.dumps({"file": str(path), **analyze(spec).to_json()}, indent=2))
         else:
@@ -75,10 +79,20 @@ def _parse_mu(text: str, n: int):
     return mu
 
 
+def _load_spec(path, mu: str | None = None) -> PolySpec:
+    """The spec in path with --mu applied, refused if d+h exceeds MAX_ORDER."""
+    spec = load_spec_file(path)
+    if mu is not None:
+        spec = spec.with_mu(_parse_mu(mu, spec.n_vars))
+    rel = analyze(spec)
+    if rel.d + rel.h > MAX_ORDER:
+        raise PreconditionError(
+            f"{path}: d+h = {rel.d + rel.h} exceeds the supported maximum {MAX_ORDER}")
+    return spec
+
+
 def _cmd_operator(args) -> int:
-    spec = load_spec_file(args.spec)
-    if args.mu is not None:
-        spec = spec.with_mu(_parse_mu(args.mu, spec.n_vars))
+    spec = _load_spec(args.spec, args.mu)
     op = build_operator(spec)
     if args.format == "json":
         print(json.dumps(op.to_json(), indent=2))
@@ -95,9 +109,7 @@ def _cmd_operator(args) -> int:
 
 
 def _cmd_ode(args) -> int:
-    spec = load_spec_file(args.spec)
-    if args.mu is not None:
-        spec = spec.with_mu(_parse_mu(args.mu, spec.n_vars))
+    spec = _load_spec(args.spec, args.mu)
     op = build_operator(spec)
     diff = to_differential_operator(op)
     h, rhs = singular_values(op)
@@ -122,7 +134,7 @@ def _parse_lambda(text: str) -> Fraction:
 
 
 def _cmd_factor(args) -> int:
-    spec = load_spec_file(args.spec)
+    spec = _load_spec(args.spec)
     op = build_operator(spec)
     lam = _parse_lambda(args.lam)
     report = regular_quotient_pipeline(op, lam, order=args.prec)
@@ -134,7 +146,7 @@ def _cmd_factor(args) -> int:
 
 
 def _cmd_intdep(args) -> int:
-    spec = load_spec_file(args.spec)
+    spec = _load_spec(args.spec)
     relation = None
     if args.format == "json" or args.expanded or args.verify:
         relation = dependence_relation(spec)
@@ -159,7 +171,7 @@ def _cmd_intdep(args) -> int:
 
 
 def _cmd_verify_critical(args) -> int:
-    spec = load_spec_file(args.spec)
+    spec = _load_spec(args.spec)
     lam = complex(_parse_lambda(args.lam))
     report = critical_values(spec, lam, n_starts=args.starts, tol=args.tol)
     ok = equation_holds(spec, report, args.tol)
@@ -236,7 +248,15 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.fn(args)
+        rc = args.fn(args)
+        sys.stdout.flush()
+        return rc
+    except BrokenPipeError:
+        # the reader closed stdout early, which is not bad input; devnull keeps
+        # the flush at exit from failing again ("Note on SIGPIPE", signal docs)
+        with open(os.devnull, "w") as devnull:
+            os.dup2(devnull.fileno(), sys.stdout.fileno())
+        return 1
     except PreconditionError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

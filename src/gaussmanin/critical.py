@@ -8,12 +8,13 @@ This module never feeds back into the exact computations.
 from __future__ import annotations
 
 import cmath
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .engine import PolySpec, analyze
-from .errors import LambdaZero
+from .errors import LambdaZero, PreconditionError
 
 
 @dataclass(frozen=True)
@@ -114,10 +115,15 @@ def critical_values(spec: PolySpec, lambda_value: complex, n_starts: int = 200,
     interest need not sit in the unit polydisc).  Converged points are kept
     when the scaled gradient residual is below min(1e-9, tol); values below
     1e-8 in modulus count as the zero critical value and are dropped.
+    Needs n_starts >= 1 and a finite tol > 0, so an empty search cannot pass.
     """
     lam = complex(lambda_value)
     if lam == 0:
         raise LambdaZero("lambda must be nonzero")
+    if n_starts < 1:
+        raise PreconditionError(f"need at least one Newton start, got {n_starts}")
+    if not (math.isfinite(tol) and tol > 0):
+        raise PreconditionError(f"tolerance must be a finite positive number, got {tol}")
     keep = min(1e-9, tol)
     rel = analyze(spec)
     n = spec.n_vars

@@ -20,7 +20,7 @@ from functools import lru_cache
 
 from .abalgebra import ABElement, HomogChain
 from .errors import GammaTouchesH, MalformedSpec, QuasiHomogeneous
-from .scalars import LaurentLambda, mat_inverse, mat_rank, mat_solve
+from .scalars import LaurentLambda, UniPoly, mat_inverse, mat_rank, mat_solve
 
 
 @dataclass(frozen=True)
@@ -414,19 +414,12 @@ def build_operator(spec: PolySpec) -> GMOperator:
     P_d = chain_d.expand() * (1 / kappa_d)
     c = kappa_d / kappa_dh
     assert c == rel.c, "chain normalization disagrees with the closed form"
-    op = GMOperator(spec=spec, rel=rel, P_dh=P_dh, P_d=P_d, c=c, r=rel.r,
-                    chain_dh=chain_dh, chain_d=chain_d)
-    # the class mod b must collapse to a^{d+h} - c·λ^r·a^d
-    mod = op.full().mod_b()
-    assert mod.degree == rel.d + rel.h
-    for k, coeff in enumerate(mod.coeffs):
-        if k == rel.d + rel.h:
-            assert coeff == 1
-        elif k == rel.d:
-            assert coeff == -op.lambda_part()
-        else:
-            assert coeff == 0
-    return op
+    # the class mod b must collapse to a^{d+h} - c·λ^r·a^d; r != 0, so the
+    # λ^r part cannot cancel against the λ-free part and each side is checked
+    assert P_dh.mod_b() == UniPoly.x_power(rel.d + rel.h)
+    assert P_d.mod_b() == UniPoly.x_power(rel.d)
+    return GMOperator(spec=spec, rel=rel, P_dh=P_dh, P_d=P_d, c=c, r=rel.r,
+                      chain_dh=chain_dh, chain_d=chain_d)
 
 
 # ---------------------------------------------------------------------------
@@ -459,12 +452,9 @@ def symmetric_family_bracket(total_degree: int) -> ABElement:
     if total_degree < 5:
         raise MalformedSpec("family needs total degree >= 5")
     w = total_degree
-    prod = ABElement.one()
-    for p in range(w - 2, -1, -1):
-        prod = prod * ABElement.linear(Fraction(1), Fraction(-4 * (p + 1), w))
-    tail = ABElement.one()
-    for rr in (3, 2, 1):
-        tail = tail * ABElement.linear(Fraction(1), Fraction(-rr))
+    prod = HomogChain(tuple((Fraction(1), Fraction(-4 * (p + 1), w))
+                            for p in range(w - 2, -1, -1))).expand()
+    tail = HomogChain(tuple((Fraction(1), Fraction(-rr)) for rr in (3, 2, 1))).expand()
     scale = LaurentLambda.monomial(w, Fraction((w - 4) ** (w - 4)))
     return prod - tail * scale
 

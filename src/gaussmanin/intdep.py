@@ -139,7 +139,7 @@ class DependenceRelation:
     def factored_str(self) -> str:
         return factored_relation_str(self.spec)
 
-    def expanded_str(self, max_terms_per_coeff: int | None = None) -> str:
+    def expanded_str(self) -> str:
         lines = []
         for k in range(self.degree, -1, -1):
             coeff = self.coefficients[k]
@@ -151,9 +151,6 @@ class DependenceRelation:
                                 for i, p in enumerate(e) if p)
                 cs = str(c) if c.is_constant() else f"({c})"
                 terms.append(f"{cs}·{mono}" if mono else cs)
-                if max_terms_per_coeff and len(terms) >= max_terms_per_coeff:
-                    terms.append("...")
-                    break
             fs = "" if k == 0 else (" · f" if k == 1 else f" · f^{k}")
             lines.append(f"({' + '.join(terms)}){fs}")
         return "\n+ ".join(lines)

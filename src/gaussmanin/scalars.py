@@ -541,13 +541,9 @@ _ROOT_PRIMES = (4099, 4111, 4127, 4129, 4133, 4139, 4153, 4157, 5003, 5009,
 
 
 def _to_int_poly(p: UniPoly) -> list[int]:
-    den = 1
-    for c in p.coeffs:
-        den = den * Fraction(c).denominator // math.gcd(den, Fraction(c).denominator)
+    den = math.lcm(*(Fraction(c).denominator for c in p.coeffs))
     ints = [int(Fraction(c) * den) for c in p.coeffs]
-    g = 0
-    for c in ints:
-        g = math.gcd(g, abs(c))
+    g = math.gcd(*ints)
     if g > 1:
         ints = [c // g for c in ints]
     return ints
@@ -684,26 +680,17 @@ def _rational_root_candidates(ints: list[int]) -> list[Fraction]:
             m = prime
             while m < target:
                 m = m * m
-                fr = _int_eval_mod(g, r, m)
-                dfr = _int_eval_mod([c * k for k, c in enumerate(g) if k >= 1], r, m)
+                fr = _fp_eval(g, r, m)
+                dfr = _fp_eval([c * k for k, c in enumerate(g) if k >= 1], r, m)
                 try:
                     r = (r - fr * pow(dfr, -1, m)) % m
                 except ValueError:
                     break  # derivative not invertible: no simple lift here
-            else:
-                pass
             cand = _rational_reconstruct(r, m, num_bound, den_bound)
             if cand is not None:
                 cands.append(cand)
         return cands
     return _divisor_candidates(ints)
-
-
-def _int_eval_mod(coeffs: list[int], x: int, m: int) -> int:
-    out = 0
-    for c in reversed(coeffs):
-        out = (out * x + c) % m
-    return out
 
 
 def _divisor_candidates(ints: list[int]) -> list[Fraction]:

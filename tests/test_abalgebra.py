@@ -1,7 +1,10 @@
+import dataclasses
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import random_chain, random_element, random_monic_chain
 from gaussmanin.abalgebra import (
@@ -11,6 +14,7 @@ from gaussmanin.abalgebra import (
     right_divide,
     theta_k,
 )
+from gaussmanin.engine import analyze, monomial_chain
 from gaussmanin.errors import NonMonicDivisor, TruncationTooSmall, ZeroElement
 from gaussmanin.scalars import LaurentLambda
 
@@ -160,6 +164,38 @@ def test_chain_expand_examples():
     assert chain_expand(two) == A * A - B * A * 3 + B * B
     assert chain_expand(HomogChain(((Fraction(6), Fraction(-5)),))) == A * 6 - B * 5
     assert chain_expand(HomogChain(())) == ABElement.one()
+
+
+def _right_multiplied(chain: HomogChain) -> ABElement:
+    """The chain product taken left to right, each factor on the right."""
+    out = ABElement.one()
+    for eta, theta in chain.factors:
+        out = out * ABElement.linear(eta, theta)
+    return out
+
+
+_small_fractions = st.one_of(st.just(Fraction(0)),
+                             st.fractions(min_value=-4, max_value=4, max_denominator=3))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(st.tuples(_small_fractions, _small_fractions), max_size=12))
+def test_chain_expand_matches_right_multiplication(factors):
+    chain = HomogChain(tuple(factors))
+    assert chain.expand() == _right_multiplied(chain)
+
+
+@pytest.mark.parametrize("name", ["e2", "e3", "e4"])
+def test_chain_expand_matches_right_multiplication_on_specs(name, request):
+    spec = request.getfixturevalue(name)
+    rel = analyze(spec)
+    for gamma in (rel.Delta, rel.delta):
+        chain, _ = monomial_chain(spec, gamma)
+        assert chain.expand() == _right_multiplied(chain)
+
+
+def test_chain_keeps_only_its_factors():
+    assert [f.name for f in dataclasses.fields(HomogChain)] == ["factors"]
 
 
 def test_chain_leading_coefficient():

@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -174,6 +177,39 @@ def test_verify_critical_json(capsys):
     assert code == 0
     data = json.loads(out)
     assert data["equation_satisfied"] is True
+
+
+@pytest.mark.parametrize("flags", [("--starts", "0"), ("--starts", "-5"), ("--tol", "-1"),
+                                   ("--tol", "0"), ("--tol", "nan")])
+def test_verify_critical_refuses_an_empty_check(capsys, flags):
+    code, out, err = run_cli(capsys, "verify-critical", str(SPEC_DIR / "e2.json"), *flags)
+    assert code == 2 and out == ""
+    assert err.count("\n") == 1 and err.startswith("error: ")
+
+
+def test_closed_stdout_is_not_bad_input():
+    env = dict(os.environ)
+    src = str(SPEC_DIR.parent / "src")
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "gaussmanin.cli", "intdep", str(SPEC_DIR / "e3.json"),
+         "--format", "json"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    assert proc.stdout.readline() == b"{\n"
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) != 2
+    assert err == b""
+
+
+def test_oversized_spec_exits_2(capsys, tmp_path):
+    big = tmp_path / "x400.json"
+    big.write_text(json.dumps({"nvars": 2, "monomials": [[400, 0], [0, 301]],
+                               "lambda_monomial": [1, 1], "mu": [0, 0]}))
+    code, out, err = run_cli(capsys, "analyze", str(big))
+    assert code == 2 and out == ""
+    assert err.count("\n") == 1 and "d+h = 120400" in err
 
 
 def test_selftest(capsys):

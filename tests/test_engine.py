@@ -203,6 +203,18 @@ def test_family_bracket_degree_six():
     assert lam_part == tail * (lam6 * Fraction(-4))
 
 
+@pytest.mark.parametrize("w", [5, 6, 7])
+def test_family_bracket_matches_right_multiplied_product(w):
+    prod = ABElement.one()
+    for p in range(w - 2, -1, -1):
+        prod = prod * ABElement.linear(Fraction(1), Fraction(-4 * (p + 1), w))
+    tail = ABElement.one()
+    for rr in (3, 2, 1):
+        tail = tail * ABElement.linear(Fraction(1), Fraction(-rr))
+    scale = LaurentLambda.monomial(w, Fraction((w - 4) ** (w - 4)))
+    assert symmetric_family_bracket(w) == prod - tail * scale
+
+
 def test_symmetric_family_operator_shape():
     op5 = symmetric_family_operator(5)
     assert op5.a_degree == 5
