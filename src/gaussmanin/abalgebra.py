@@ -15,14 +15,15 @@ from fractions import Fraction
 from math import comb
 
 from .errors import (
+    MalformedSpec,
     NonMonicDivisor,
     NotHomogeneous,
     TruncationTooSmall,
     ZeroElement,
 )
-from .scalars import LaurentLambda, UniPoly, as_laurent
+from .scalars import UniPoly
 
-_ZERO = LaurentLambda.const(0)
+_ZERO = Fraction(0)
 
 
 def _min_trunc(t1: int | None, t2: int | None) -> int | None:
@@ -36,20 +37,24 @@ def _min_trunc(t1: int | None, t2: int | None) -> int | None:
 class ABElement:
     """Element of A (or of its b-adic truncation A / b^N·A).
 
-    terms maps (b_power, a_power) to a LaurentLambda coefficient; zero
+    terms maps (b_power, a_power) to a rational coefficient; zero
     coefficients are never stored.  trunc is None for exact elements; a
-    truncated element drops every term with b_power >= trunc.
+    truncated element drops every term with b_power >= trunc.  λ never
+    enters an element: the operator carries it in the scalar c·λ^r.
     """
 
     __slots__ = ("terms", "trunc")
 
     def __init__(self, terms=None, trunc: int | None = None):
-        tt: dict[tuple[int, int], LaurentLambda] = {}
+        tt: dict[tuple[int, int], Fraction] = {}
         if terms:
             for (k, i), c in terms.items():
                 if trunc is not None and k >= trunc:
                     continue
-                c = as_laurent(c)
+                if not isinstance(c, Fraction):
+                    if not isinstance(c, int):
+                        raise TypeError(f"coefficient {c!r} is not rational")
+                    c = Fraction(c)
                 if c:
                     tt[(k, i)] = c
         self.terms = tt
@@ -122,10 +127,10 @@ class ABElement:
         degs = {k + i for (k, i) in self.terms}
         return len(degs) == 1
 
-    def coeff(self, b_power: int, a_power: int) -> LaurentLambda:
+    def coeff(self, b_power: int, a_power: int) -> Fraction:
         return self.terms.get((b_power, a_power), _ZERO)
 
-    def a_coefficient(self, a_power: int) -> dict[int, LaurentLambda]:
+    def a_coefficient(self, a_power: int) -> dict[int, Fraction]:
         """The coefficient of a^i as a map b_power -> coefficient."""
         return {k: c for (k, i), c in self.terms.items() if i == a_power}
 
@@ -170,15 +175,14 @@ class ABElement:
         return self + (-other)
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction, LaurentLambda)):
-            c = as_laurent(other)
-            if not c:
+        if isinstance(other, (int, Fraction)):
+            if not other:
                 return self._make({}, self.trunc)
-            return self._make({key: v * c for key, v in self.terms.items()}, self.trunc)
+            return self._make({key: v * other for key, v in self.terms.items()}, self.trunc)
         if not isinstance(other, ABElement):
             return NotImplemented
         trunc = _min_trunc(self.trunc, other.trunc)
-        out: dict[tuple[int, int], LaurentLambda] = {}
+        out: dict[tuple[int, int], Fraction] = {}
         for (k1, i1), c1 in self.terms.items():
             for (k2, i2), c2 in other.terms.items():
                 c = c1 * c2
@@ -202,7 +206,7 @@ class ABElement:
         return self._make(out, trunc)
 
     def __rmul__(self, other):
-        if isinstance(other, (int, Fraction, LaurentLambda)):
+        if isinstance(other, (int, Fraction)):
             return self * other
         return NotImplemented
 
@@ -271,39 +275,25 @@ class ABElement:
                 cs[i] = c
         return UniPoly(cs)
 
-    def mod_b_rational(self) -> UniPoly:
-        """mod_b with plain rational coefficients; requires lambda-free input."""
-        from .errors import LambdaNotSpecialized
-
-        cs = []
-        for c in self.mod_b().coeffs:
-            if not c.is_constant():
-                raise LambdaNotSpecialized("coefficients still involve lambda")
-            cs.append(c.constant_value())
-        return UniPoly(cs)
-
-    def is_lambda_free(self) -> bool:
-        return all(c.is_constant() for c in self.terms.values())
-
-    def substitute_lambda(self, value: Fraction) -> "ABElement":
-        """Evaluate lambda at a nonzero rational."""
-        out = {}
-        for key, c in self.terms.items():
-            v = c.evaluate(value)
-            if v:
-                out[key] = LaurentLambda.const(v)
-        return self._make(out, self.trunc)
-
     # -- io ---------------------------------------------------------------------
 
     def to_json(self) -> dict:
-        terms = [{"b": k, "a": i, "c": c.to_json()}
+        # a coefficient is written as the λ-polynomial [[0, "p/q"]]
+        terms = [{"b": k, "a": i, "c": [[0, str(c)]]}
                  for (k, i), c in sorted(self.terms.items())]
         return {"trunc": self.trunc, "terms": terms}
 
     @classmethod
     def from_json(cls, data) -> "ABElement":
-        terms = {(t["b"], t["a"]): LaurentLambda.from_json(t["c"]) for t in data["terms"]}
+        terms = {}
+        for t in data["terms"]:
+            c = Fraction(0)
+            for e, v in t["c"]:
+                if e != 0:
+                    raise MalformedSpec(f"coefficient {t['c']} of b^{t['b']}·a^{t['a']} "
+                                        f"involves λ; algebra elements are rational")
+                c += Fraction(v)
+            terms[(t["b"], t["a"])] = c
         return cls(terms, data.get("trunc"))
 
     def __str__(self):
@@ -318,15 +308,13 @@ class ABElement:
                 f"b^{k}" if k > 1 else ("b" if k == 1 else ""),
                 f"a^{i}" if i > 1 else ("a" if i == 1 else "")) if s)
             if not mono:
-                parts.append(f"{c}" if c.is_constant() else f"({c})")
+                parts.append(f"{c}")
             elif c == 1:
                 parts.append(mono)
             elif c == -1:
                 parts.append(f"-{mono}")
-            elif c.is_constant():
-                parts.append(f"{c.constant_value()}·{mono}")
             else:
-                parts.append(f"({c})·{mono}")
+                parts.append(f"{c}·{mono}")
         s = " + ".join(parts).replace("+ -", "- ")
         if self.trunc is not None:
             s += f" + O(b^{self.trunc})"
@@ -343,10 +331,10 @@ class ABElement:
 def right_divide(p: ABElement, dvs: ABElement) -> tuple[ABElement, ABElement]:
     """Right division p = quot·dvs + rem with a_degree(rem) < a_degree(dvs).
 
-    The divisor must be a polynomial in a whose leading a-coefficient is a
-    unit: a single invertible lambda-monomial, with no b-part.  For
-    homogeneous p and homogeneous divisor the division is exact and graded;
-    otherwise it is exact up to the common truncation order.
+    The divisor's leading a-coefficient must have no b-part; it is then a
+    nonzero rational, hence a unit.  For homogeneous p and homogeneous
+    divisor the division is exact and graded; otherwise it is exact up to
+    the common truncation order.
     """
     if dvs.is_zero():
         raise NonMonicDivisor("division by zero")
@@ -355,8 +343,6 @@ def right_divide(p: ABElement, dvs: ABElement) -> tuple[ABElement, ABElement]:
     if set(lead_col) != {0}:
         raise NonMonicDivisor("leading a-coefficient has positive b-order")
     lead = lead_col[0]
-    if not lead.is_monomial():
-        raise NonMonicDivisor("leading a-coefficient is not a unit")
     trunc = _min_trunc(p.trunc, dvs.trunc)
     quot = ABElement.zero(trunc)
     rem = ABElement(dict(p.terms), trunc)

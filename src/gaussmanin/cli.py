@@ -245,6 +245,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    # c and the printed coefficients grow with d+h, which MAX_ORDER bounds;
+    # Python's default int-to-str limit of 4,300 digits (3.10.7+) is below it
+    if hasattr(sys, "set_int_max_str_digits"):
+        sys.set_int_max_str_digits(0)
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
@@ -265,6 +269,10 @@ def main(argv=None) -> int:
         return 2
     except GaussManinError as exc:
         print(f"internal error: {exc}", file=sys.stderr)
+        return 1
+    except Exception as exc:
+        # any other failure is a bug; repr keeps it to one line
+        print(f"internal error: {exc!r}", file=sys.stderr)
         return 1
 
 

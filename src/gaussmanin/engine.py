@@ -19,7 +19,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .abalgebra import ABElement, HomogChain
-from .errors import GammaTouchesH, MalformedSpec, QuasiHomogeneous
+from .errors import GammaTouchesH, InternalError, MalformedSpec, QuasiHomogeneous
 from .scalars import LaurentLambda, UniPoly, mat_inverse, mat_rank, mat_solve
 
 
@@ -369,15 +369,12 @@ class GMOperator:
         return self.rel.h
 
     def lambda_part(self) -> LaurentLambda:
-        """The scalar c·λ^r."""
+        """The scalar c·λ^r, the only place λ enters the operator."""
         return LaurentLambda.monomial(self.r, self.c)
 
-    def full(self) -> ABElement:
-        """P_dh - c·λ^r·P_d with λ symbolic."""
-        return self.P_dh - self.P_d * self.lambda_part()
-
     def specialized(self, lam: Fraction) -> ABElement:
-        return self.full().substitute_lambda(lam)
+        """P_dh - c·lam^r·P_d at a rational λ = lam."""
+        return self.P_dh - self.P_d * (self.c * Fraction(lam) ** self.r)
 
     def to_json(self) -> dict:
         return {
@@ -413,11 +410,14 @@ def build_operator(spec: PolySpec) -> GMOperator:
     P_dh = chain_dh.expand() * (1 / kappa_dh)
     P_d = chain_d.expand() * (1 / kappa_d)
     c = kappa_d / kappa_dh
-    assert c == rel.c, "chain normalization disagrees with the closed form"
+    if c != rel.c:
+        raise InternalError("chain normalization disagrees with the closed-form c")
     # the class mod b must collapse to a^{d+h} - c·λ^r·a^d; r != 0, so the
     # λ^r part cannot cancel against the λ-free part and each side is checked
-    assert P_dh.mod_b() == UniPoly.x_power(rel.d + rel.h)
-    assert P_d.mod_b() == UniPoly.x_power(rel.d)
+    if P_dh.mod_b() != UniPoly.x_power(rel.d + rel.h):
+        raise InternalError(f"P_{rel.d + rel.h} is not a^{rel.d + rel.h} mod b")
+    if P_d.mod_b() != UniPoly.x_power(rel.d):
+        raise InternalError(f"P_{rel.d} is not a^{rel.d} mod b")
     return GMOperator(spec=spec, rel=rel, P_dh=P_dh, P_d=P_d, c=c, r=rel.r,
                       chain_dh=chain_dh, chain_d=chain_d)
 
@@ -441,24 +441,24 @@ def cyclic_symmetric_spec(alpha, mu=(0, 0, 0, 0)) -> PolySpec:
     return PolySpec(tuple(cols), (1, 1, 1, 1), tuple(mu))
 
 
-def symmetric_family_bracket(total_degree: int) -> ABElement:
+def symmetric_family_bracket(total_degree: int, lam: Fraction) -> ABElement:
     """The bracketed part of the closed-form annihilator for the symmetric
-    family, as printed for it: Π_{p=|α|-2..0}(a - 4(p+1)/|α|·b)
-    - λ^{|α|}·(|α|-4)^{|α|-4}·(a-3b)(a-2b)(a-b).
+    family, as printed for it, at the rational λ = lam:
+    Π_{p=|α|-2..0}(a - 4(p+1)/|α|·b) - λ^{|α|}·(|α|-4)^{|α|-4}·(a-3b)(a-2b)(a-b).
 
     The printed form is for Σ_j σ^j(x^α) + |α|·λ·xyzt, whose λ-coefficient
     is |α|.  `cyclic_symmetric_spec` uses coefficient 1, so its engine
-    operator P matches (a - 4b) times this bracket after λ → |α|·λ."""
+    operator P at |α|·λ matches (a - 4b) times this bracket at λ."""
     if total_degree < 5:
         raise MalformedSpec("family needs total degree >= 5")
     w = total_degree
     prod = HomogChain(tuple((Fraction(1), Fraction(-4 * (p + 1), w))
                             for p in range(w - 2, -1, -1))).expand()
     tail = HomogChain(tuple((Fraction(1), Fraction(-rr)) for rr in (3, 2, 1))).expand()
-    scale = LaurentLambda.monomial(w, Fraction((w - 4) ** (w - 4)))
-    return prod - tail * scale
+    return prod - tail * ((w - 4) ** (w - 4) * Fraction(lam) ** w)
 
 
-def symmetric_family_operator(total_degree: int) -> ABElement:
-    """(a - 4b) times the closed-form bracket, expanded to normal form."""
-    return ABElement.linear(Fraction(1), Fraction(-4)) * symmetric_family_bracket(total_degree)
+def symmetric_family_operator(total_degree: int, lam: Fraction) -> ABElement:
+    """(a - 4b) times the closed-form bracket at λ = lam, in normal form."""
+    return ABElement.linear(Fraction(1), Fraction(-4)) * \
+        symmetric_family_bracket(total_degree, lam)

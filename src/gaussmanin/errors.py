@@ -29,6 +29,10 @@ class LambdaZero(PreconditionError):
     """The deformation parameter must be nonzero."""
 
 
+class InternalError(GaussManinError):
+    """A computed result fails one of its exact invariant checks."""
+
+
 class NotCoprime(GaussManinError):
     """Bezout cofactors requested for polynomials with a common factor."""
 
@@ -51,10 +55,6 @@ class NotMonic(GaussManinError):
 
 class NotRegular(GaussManinError):
     """Bernstein data requested for an element that is not regular."""
-
-
-class LambdaNotSpecialized(PreconditionError):
-    """Operation requires rational coefficients: substitute a value for lambda first."""
 
 
 class TruncationTooSmall(PreconditionError):

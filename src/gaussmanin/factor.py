@@ -16,7 +16,7 @@ from .abalgebra import ABElement, right_divide
 from .engine import GMOperator
 from .errors import (
     HIsZero,
-    LambdaNotSpecialized,
+    InternalError,
     LambdaZero,
     NotRegular,
     PreconditionInitialForm,
@@ -37,8 +37,7 @@ def bernstein_element(p: ABElement) -> ABElement:
     if not is_regular(p):
         raise NotRegular("initial form degree is below the a-degree")
     init = p.initial_form()
-    lead = init.coeff(0, init.a_degree)
-    return init * (1 / lead.constant_value() if lead.is_constant() else lead ** -1)
+    return init * (1 / init.coeff(0, init.a_degree))
 
 
 # ---------------------------------------------------------------------------
@@ -103,21 +102,11 @@ class FactorizationResult:
 
 def _b_layer(p: ABElement, k: int) -> UniPoly:
     """Coefficient of b^k as a rational polynomial in a."""
-    if not p.terms:
-        return UniPoly()
-    cs: dict[int, Fraction] = {}
-    for (kk, i), c in p.terms.items():
-        if kk == k:
-            cs[i] = c.constant_value()
+    cs = {i: c for (kk, i), c in p.terms.items() if kk == k}
     if not cs:
         return UniPoly()
     top = max(cs)
     return UniPoly([cs.get(i, Fraction(0)) for i in range(top + 1)])
-
-
-def _require_specialized(p: ABElement) -> None:
-    if not p.is_lambda_free():
-        raise LambdaNotSpecialized("substitute a rational value for lambda first")
 
 
 def _lift_pair(p: ABElement, f1: UniPoly, f2: UniPoly, order: int) -> tuple[ABElement, ABElement]:
@@ -143,7 +132,8 @@ def _lift_pair(p: ABElement, f1: UniPoly, f2: UniPoly, order: int) -> tuple[ABEl
         v = (e_k - u * f2) // f1
         left = left + ABElement({(k, i): c for i, c in enumerate(u.coeffs)}, order)
         right = right + ABElement({(k, i): c for i, c in enumerate(v.coeffs)}, order)
-    assert (p - left * right).is_zero()
+    if not (p - left * right).is_zero():
+        raise InternalError(f"the lifted pair does not reconstruct p mod b^{order}")
     return left, right
 
 
@@ -158,10 +148,10 @@ def hensel_decompose(p: ABElement, order: int | None = None,
                      classes: list[UniPoly] | None = None) -> FactorizationResult:
     """Spectral decomposition of p modulo b^order.
 
-    p must be monic in a with lambda specialized.  The factors follow the
-    coprime splitting of p mod b; each factor is congruent to its coprime
-    piece mod b and the product reconstructs p mod b^order.  An explicit
-    ordering of the mod-b classes may be supplied.
+    p must be monic in a.  The factors follow the coprime splitting of p
+    mod b; each factor is congruent to its coprime piece mod b and the
+    product reconstructs p mod b^order.  An explicit ordering of the mod-b
+    classes may be supplied.
     """
     from .scalars import coprime_split
 
@@ -169,13 +159,12 @@ def hensel_decompose(p: ABElement, order: int | None = None,
         order = default_truncation(p)
     if order < 2:
         raise TruncationTooSmall("need truncation order >= 2")
-    _require_specialized(p)
     if not p.is_monic_in_a():
         raise PreconditionInitialForm("input must be monic in a")
     if p.trunc is not None and p.trunc < order:
         raise TruncationTooSmall("input known to lower order than requested")
     p = p.truncate(order)
-    pbar = p.mod_b_rational()
+    pbar = p.mod_b()
     if classes is None:
         classes = coprime_split(pbar)
     else:
@@ -210,9 +199,11 @@ def hensel_decompose(p: ABElement, order: int | None = None,
             bernstein=bernstein_element(fac) if reg else None,
         ))
     result = FactorizationResult(tuple(data), order)
-    assert sum(f.rank for f in data) == p.a_degree
+    if sum(f.rank for f in data) != p.a_degree:
+        raise InternalError("factor ranks do not sum to the a-degree of p")
     for fac, cls_ in zip(factors, classes):
-        assert fac.mod_b_rational() == cls_
+        if fac.mod_b() != cls_:
+            raise InternalError(f"a factor is not {cls_.format('a')} mod b")
     return result
 
 
@@ -294,10 +285,9 @@ def split_irregular(p: ABElement, order: int | None = None) -> IrregularSplit:
     if h == 0:
         raise HIsZero("element is regular: no irregular part to split off")
     q = init.b_order
-    rho_c = init.coeff(q, d - q)
-    if not rho_c.is_constant() or rho_c.constant_value() == 0:
+    rho = init.coeff(q, d - q)
+    if rho == 0:
         raise PreconditionInitialForm("initial form is not rho·b^q·(monic in a)")
-    rho = rho_c.constant_value()
     # class mod b must be a^{d+h}; for q = 0 the initial form itself
     # contributes rho·a^d at b-order zero, which is the only exception
     mod = p.mod_b() - init.mod_b()
@@ -488,8 +478,7 @@ def regular_quotient_pipeline(g: GMOperator, lambda_value: Fraction,
         reg_rank = split.regular_rank
         label = "totally irregular"
 
-    P_d = g.P_d.substitute_lambda(lambda_value)
-    quot, rem = right_divide(P_d, bern)
+    quot, rem = right_divide(g.P_d, bern)
     divides = rem.is_zero()
 
     zb = ZeroBlockReport(
@@ -501,6 +490,6 @@ def regular_quotient_pipeline(g: GMOperator, lambda_value: Fraction,
     return PipelineReport(
         lambda_value=lambda_value, trunc=order,
         operator_rank=g.d + g.h,
-        mod_b_class=p.mod_b_rational(),
+        mod_b_class=p.mod_b(),
         factorization=result,
         zero_block=zb)

@@ -14,10 +14,11 @@ from math import comb
 
 from .abalgebra import ABElement, require_homogeneous
 from .engine import GMOperator
-from .errors import NotMonic
+from .errors import InternalError, NotMonic
 from .scalars import LaurentLambda, UniPoly, as_laurent
 
-#: Euler polynomials are UniPoly values in θ over LaurentLambda.
+#: Euler polynomials are UniPoly values in θ over LaurentLambda, the
+#: coefficient type of the ODE they feed.
 EulerPoly = UniPoly
 
 
@@ -35,8 +36,8 @@ def euler_form(p: ABElement) -> EulerPoly:
     basis = _falling_basis(q)
     out = UniPoly()
     for (k, i), c in p.terms.items():
-        out = out + basis[i].map_coeffs(lambda x, c=c: c * x)
-    return out
+        out = out + basis[i].scale(c)
+    return out.map_coeffs(as_laurent)
 
 
 def from_euler(e: EulerPoly, q: int) -> ABElement:
@@ -44,14 +45,14 @@ def from_euler(e: EulerPoly, q: int) -> ABElement:
     if e.degree > q:
         raise ValueError("Euler polynomial degree exceeds the element degree")
     basis = _falling_basis(q)
-    residual = e
+    residual = e.to_rational()
     terms = {}
     for k in range(q + 1):
         i = q - k
         c = residual[i]
-        if not (c == 0):
+        if c:
             terms[(k, i)] = c
-            residual = residual - basis[i].map_coeffs(lambda x, c=c: c * x)
+            residual = residual - basis[i].scale(c)
     assert residual.is_zero()
     return ABElement(terms)
 
@@ -205,8 +206,9 @@ def to_differential_operator(g: GMOperator) -> DiffOp:
     out = lead - tail * g.lambda_part()
     top = out.coefficient(g.d + g.h)
     expect = UniPoly.x_power(g.d + g.h, as_laurent(1)) - \
-        UniPoly.x_power(g.d, as_laurent(g.lambda_part()))
-    assert top.map_coeffs(as_laurent) == expect.map_coeffs(as_laurent)
+        UniPoly.x_power(g.d, g.lambda_part())
+    if top.map_coeffs(as_laurent) != expect:
+        raise InternalError(f"top coefficient is not s^{g.d + g.h} - c·λ^r·s^{g.d}")
     return out
 
 

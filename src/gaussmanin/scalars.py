@@ -62,9 +62,6 @@ class LaurentLambda:
     def is_constant(self) -> bool:
         return not self.coeffs or set(self.coeffs) == {0}
 
-    def is_monomial(self) -> bool:
-        return len(self.coeffs) == 1
-
     def constant_value(self) -> Fraction:
         """The value as a rational; raises if lambda genuinely appears."""
         if not self.coeffs:
@@ -147,34 +144,6 @@ class LaurentLambda:
 
     __rmul__ = __mul__
 
-    def __truediv__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        if not other.coeffs:
-            raise ZeroDivisionError("division by zero LaurentLambda")
-        if len(other.coeffs) != 1:
-            raise ValueError("can only divide by a lambda-monomial")
-        (e, c), = other.coeffs.items()
-        r = LaurentLambda.__new__(LaurentLambda)
-        r.coeffs = {ea - e: ca / c for ea, ca in self.coeffs.items()}
-        return r
-
-    def __pow__(self, n: int):
-        if n < 0:
-            if not self.is_monomial():
-                raise ValueError("negative power of a non-monomial")
-            (e, c), = self.coeffs.items()
-            return LaurentLambda.monomial(e * n, c ** n)
-        out = _LL_ONE
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
-        return out
-
     def __eq__(self, other):
         if isinstance(other, (int, Fraction)):
             if other == 0:
@@ -187,14 +156,7 @@ class LaurentLambda:
     def __hash__(self):
         return hash(frozenset(self.coeffs.items()))
 
-    # -- evaluation and io ----------------------------------------------------
-
-    def evaluate(self, value: Fraction) -> Fraction:
-        """Substitute a nonzero rational for lambda."""
-        value = Fraction(value)
-        if value == 0 and any(e < 0 for e in self.coeffs):
-            raise ZeroDivisionError("lambda = 0 with negative exponents")
-        return sum((c * value ** e for e, c in self.coeffs.items()), Fraction(0))
+    # -- io -------------------------------------------------------------------
 
     def to_json(self) -> list:
         return [[e, rational_to_str(c)] for e, c in sorted(self.coeffs.items())]
@@ -222,8 +184,6 @@ class LaurentLambda:
 
 
 _LL_ZERO = LaurentLambda.const(0)
-_LL_ONE = LaurentLambda.const(1)
-LAMBDA = LaurentLambda.monomial(1)
 
 
 def as_laurent(x) -> LaurentLambda:
@@ -362,10 +322,7 @@ class UniPoly:
     def monic(self) -> "UniPoly":
         if not self.coeffs:
             return self
-        inv = 1 / Fraction(self.lead) if not isinstance(self.lead, LaurentLambda) else None
-        if inv is None:
-            raise ValueError("monic() needs rational coefficients")
-        return self.scale(inv)
+        return self.scale(1 / Fraction(self.lead))
 
     def divmod(self, other: "UniPoly") -> tuple["UniPoly", "UniPoly"]:
         """Exact polynomial division over Q."""

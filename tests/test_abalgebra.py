@@ -15,8 +15,7 @@ from gaussmanin.abalgebra import (
     theta_k,
 )
 from gaussmanin.engine import analyze, monomial_chain
-from gaussmanin.errors import NonMonicDivisor, TruncationTooSmall, ZeroElement
-from gaussmanin.scalars import LaurentLambda
+from gaussmanin.errors import MalformedSpec, NonMonicDivisor, TruncationTooSmall, ZeroElement
 
 A = ABElement.a()
 B = ABElement.b()
@@ -88,7 +87,7 @@ def test_initial_form_needs_enough_precision():
 def test_truncation_mixing():
     p = A + B ** 5
     q = p.truncate(3)
-    assert q.terms == {(0, 1): LaurentLambda.const(1)}
+    assert q.terms == {(0, 1): Fraction(1)}
     prod = p * q
     assert prod.trunc == 3
     assert all(k < 3 for (k, _) in prod.terms)
@@ -213,9 +212,13 @@ def test_json_roundtrip():
     for _ in range(10):
         x = random_element(rng)
         assert ABElement.from_json(x.to_json()) == x
-    lam = LaurentLambda.monomial(6, Fraction(-1, 432))
-    y = (A ** 2 * lam + B).truncate(4)
+    y = (A ** 2 * Fraction(-1, 432) + B).truncate(4)
     assert ABElement.from_json(y.to_json()) == y
+    assert y.to_json()["terms"][0]["c"] == [[0, "-1/432"]]
+    # λ lives in the operator's scalar c·λ^r, never in an element
+    lam_json = {"trunc": 4, "terms": [{"b": 0, "a": 2, "c": [[6, "-1/432"]]}]}
+    with pytest.raises(MalformedSpec):
+        ABElement.from_json(lam_json)
 
 
 def test_text_form():

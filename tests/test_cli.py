@@ -1,7 +1,9 @@
+import hashlib
 import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
 
@@ -16,6 +18,25 @@ def run_cli(capsys, *argv):
     code = main(list(argv))
     out = capsys.readouterr()
     return code, out.out, out.err
+
+
+# stdout sha256 of the benchmark's jobs, recorded from the command line
+REFERENCE = json.loads((SPEC_DIR.parent / "perfbench" / "reference.json").read_text())
+SLOW_JOBS = {"factor specs/e61.json --lambda 1 --prec 63 --format json",
+             "factor specs/e3.json --lambda 1 --prec 32 --format json",
+             "intdep specs/e61.json --format json"}
+JSON_JOBS = [pytest.param(job, marks=pytest.mark.slow) if job in SLOW_JOBS else job
+             for job in sorted(REFERENCE)
+             if job.split()[0] in ("operator", "ode", "factor", "intdep")
+             and "--format json" in job]
+
+
+@pytest.mark.parametrize("job", JSON_JOBS)
+def test_json_output_is_byte_identical_to_reference(capsys, monkeypatch, job):
+    monkeypatch.chdir(SPEC_DIR.parent)
+    code, out, _ = run_cli(capsys, *job.split())
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == REFERENCE[job]
 
 
 def test_analyze_e61(capsys):
@@ -210,6 +231,30 @@ def test_oversized_spec_exits_2(capsys, tmp_path):
     code, out, err = run_cli(capsys, "analyze", str(big))
     assert code == 2 and out == ""
     assert err.count("\n") == 1 and "d+h = 120400" in err
+
+
+def test_c_beyond_the_default_digit_limit_prints(capsys, tmp_path):
+    # x^40 + y^49 + λ·x·y: d+h = 1960 is under the cap, but c has more
+    # digits than Python's default int-to-str limit of 4300
+    spec = tmp_path / "x40.json"
+    spec.write_text(json.dumps({"nvars": 2, "monomials": [[40, 0], [0, 49]],
+                                "lambda_monomial": [1, 1], "mu": [0, 0]}))
+    code, out, err = run_cli(capsys, "analyze", str(spec))
+    assert code == 0 and err == ""
+    line = next(line for line in out.splitlines() if line.startswith("c = "))
+    assert len(line) > 4300
+    assert Fraction(line[4:]) == analyze(load_spec_file(spec)).c
+
+
+def test_unexpected_exception_is_one_line(capsys, monkeypatch):
+    def broken(spec):
+        raise RuntimeError("boom\nsecond line")
+
+    monkeypatch.setattr(cli, "build_operator", broken)
+    code, out, err = run_cli(capsys, "operator", str(SPEC_DIR / "e2.json"))
+    assert code == 1 and out == ""
+    assert err.count("\n") == 1 and err.startswith("internal error: ")
+    assert "Traceback" not in err
 
 
 def test_selftest(capsys):

@@ -1,3 +1,4 @@
+import dataclasses
 import random
 from fractions import Fraction
 
@@ -16,9 +17,12 @@ from gaussmanin import (
     symmetric_family_bracket,
     symmetric_family_operator,
 )
-from gaussmanin.abalgebra import ABElement, theta_k
-from gaussmanin.errors import GammaTouchesH, MalformedSpec, QuasiHomogeneous
-from gaussmanin.scalars import LaurentLambda
+from gaussmanin import engine
+from gaussmanin.abalgebra import ABElement, HomogChain, theta_k
+from gaussmanin.errors import GammaTouchesH, InternalError, MalformedSpec, QuasiHomogeneous
+
+# the λ values at which the closed forms are compared
+LAMS = (Fraction(1), Fraction(2), Fraction(-3, 7))
 
 
 def test_condition_c(e2, e61):
@@ -132,18 +136,41 @@ def test_build_operator_e2(e2):
 
 
 def test_operator_mod_b_identity(e2, e3, e4):
+    lam = Fraction(3, 2)
     for spec in (e2, e3, e4):
         op = build_operator(spec)
-        mod = op.full().mod_b()
+        mod = op.specialized(lam).mod_b()
         assert mod[op.d + op.h] == 1
-        assert mod[op.d] == -op.lambda_part()
+        assert mod[op.d] == -op.c * lam ** op.r
         assert all(mod[k] == 0 for k in range(op.d + op.h) if k != op.d)
 
 
 def test_initial_form_of_full_operator(e2):
     op = build_operator(e2)
-    init = op.full().initial_form()
-    assert init == op.P_d * (-op.lambda_part())
+    lam = Fraction(3, 2)
+    init = op.specialized(lam).initial_form()
+    assert init == op.P_d * (-op.c * lam ** op.r)
+
+
+def test_build_operator_checks_c_against_the_closed_form(e2, monkeypatch):
+    rel = analyze(e2)
+    monkeypatch.setattr(engine, "analyze", lambda spec: dataclasses.replace(rel, c=2 * rel.c))
+    with pytest.raises(InternalError, match="closed-form c"):
+        build_operator(e2)
+
+
+def test_build_operator_checks_the_class_mod_b(e2, monkeypatch):
+    # doubling η of the leftmost factor keeps c but breaks P_6 ≡ a^6 mod b
+    real = engine.monomial_chain
+
+    def perturbed(spec, gamma):
+        chain, kappa = real(spec, gamma)
+        (eta, theta), *rest = chain.factors
+        return HomogChain(((2 * eta, theta), *rest)), kappa
+
+    monkeypatch.setattr(engine, "monomial_chain", perturbed)
+    with pytest.raises(InternalError, match="mod b"):
+        build_operator(e2)
 
 
 def test_symmetric_family_identical_across_members():
@@ -186,21 +213,19 @@ def test_symmetric_family_general_degrees():
 
 
 def test_family_bracket_theta4_invariant():
-    bracket = symmetric_family_bracket(5)
-    assert theta_k(bracket, 4) == bracket
+    for lam in LAMS:
+        bracket = symmetric_family_bracket(5, lam)
+        assert theta_k(bracket, 4) == bracket
 
 
 def test_family_bracket_degree_six():
-    bracket = symmetric_family_bracket(6)
-    lam6 = LaurentLambda.monomial(6)
     # the λ^6 part is -2^2·(a-3b)(a-2b)(a-b)
     tail = ABElement.one()
     for rr in (3, 2, 1):
         tail = tail * ABElement.linear(Fraction(1), Fraction(-rr))
-    lam_part = ABElement({key: LaurentLambda({6: c.coeffs.get(6, Fraction(0))})
-                          for key, c in bracket.terms.items()
-                          if c.coeffs.get(6)})
-    assert lam_part == tail * (lam6 * Fraction(-4))
+    for lam in LAMS:
+        lam_part = symmetric_family_bracket(6, lam) - symmetric_family_bracket(6, Fraction(0))
+        assert lam_part == tail * (lam ** 6 * Fraction(-4))
 
 
 @pytest.mark.parametrize("w", [5, 6, 7])
@@ -211,16 +236,18 @@ def test_family_bracket_matches_right_multiplied_product(w):
     tail = ABElement.one()
     for rr in (3, 2, 1):
         tail = tail * ABElement.linear(Fraction(1), Fraction(-rr))
-    scale = LaurentLambda.monomial(w, Fraction((w - 4) ** (w - 4)))
-    assert symmetric_family_bracket(w) == prod - tail * scale
+    for lam in LAMS:
+        scale = (w - 4) ** (w - 4) * lam ** w
+        assert symmetric_family_bracket(w, lam) == prod - tail * scale
 
 
 def test_symmetric_family_operator_shape():
-    op5 = symmetric_family_operator(5)
-    assert op5.a_degree == 5
-    assert op5.mod_b()[5] == 1
+    for lam in LAMS:
+        op5 = symmetric_family_operator(5, lam)
+        assert op5.a_degree == 5
+        assert op5.mod_b()[5] == 1
     with pytest.raises(MalformedSpec):
-        symmetric_family_operator(4)
+        symmetric_family_operator(4, Fraction(1))
 
 
 def test_chain_vs_closed_form_on_random_specs():

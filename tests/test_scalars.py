@@ -58,9 +58,9 @@ def test_laurent_commutative_distributive():
 
 def test_laurent_basics():
     lam = LaurentLambda.monomial(1)
-    x = lam ** -61 * Fraction(3, 4)
+    x = LaurentLambda.monomial(-61) * Fraction(3, 4)
     assert x.coeffs == {-61: Fraction(3, 4)}
-    assert x.evaluate(Fraction(2)) == Fraction(3, 4) / 2**61
+    assert (x * lam).coeffs == {-60: Fraction(3, 4)}
     assert (lam - lam) == 0
     assert LaurentLambda.const(5).constant_value() == 5
     with pytest.raises(ValueError):
