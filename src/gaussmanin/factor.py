@@ -19,6 +19,7 @@ from .errors import (
     InternalError,
     LambdaZero,
     NotRegular,
+    PreconditionError,
     PreconditionInitialForm,
     TruncationTooSmall,
 )
@@ -171,16 +172,13 @@ def hensel_decompose(p: ABElement, order: int | None = None,
         prod = UniPoly.const(Fraction(1))
         for c in classes:
             prod = prod * c
-        assert prod == pbar, "supplied classes do not multiply to the class of p"
+        if prod != pbar:
+            raise PreconditionError("the supplied classes do not multiply to the class of p mod b")
 
     factors: list[ABElement] = []
     rest = p
-    for idx in range(len(classes) - 1):
-        f1 = classes[idx]
-        f2 = UniPoly.const(Fraction(1))
-        for c in classes[idx + 1:]:
-            f2 = f2 * c
-        left, right = _lift_pair(rest, f1, f2, order)
+    for f1 in classes[:-1]:
+        left, right = _lift_pair(rest, f1, rest.mod_b() // f1, order)
         factors.append(left)
         rest = right
     factors.append(rest)

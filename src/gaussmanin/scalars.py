@@ -8,17 +8,13 @@ and safe to share between threads.
 
 from __future__ import annotations
 
+import itertools
 import math
 from fractions import Fraction
 
-from .errors import NotCoprime
+from .errors import InternalError, NotCoprime
 
 Rational = Fraction
-
-
-def rational_to_str(x: Fraction) -> str:
-    """Serialize a rational as "p" or "p/q"."""
-    return str(x)
 
 
 # ---------------------------------------------------------------------------
@@ -159,7 +155,7 @@ class LaurentLambda:
     # -- io -------------------------------------------------------------------
 
     def to_json(self) -> list:
-        return [[e, rational_to_str(c)] for e, c in sorted(self.coeffs.items())]
+        return [[e, str(c)] for e, c in sorted(self.coeffs.items())]
 
     @classmethod
     def from_json(cls, data) -> "LaurentLambda":
@@ -351,24 +347,12 @@ class UniPoly:
     def derivative(self) -> "UniPoly":
         return UniPoly(tuple(c * k for k, c in enumerate(self.coeffs) if k >= 1))
 
-    def evaluate(self, x):
-        out = 0
-        for c in reversed(self.coeffs):
-            out = out * x + c
-        return out
-
     def compose(self, inner: "UniPoly") -> "UniPoly":
         """self(inner(x)) by Horner."""
         out = UniPoly()
         for c in reversed(self.coeffs):
             out = out * inner + UniPoly.const(c)
         return out
-
-    def shift(self, n: int) -> "UniPoly":
-        """Multiply by x^n."""
-        if not self.coeffs:
-            return self
-        return UniPoly((0,) * n + self.coeffs)
 
     def map_coeffs(self, fn) -> "UniPoly":
         return UniPoly(tuple(fn(c) for c in self.coeffs))
@@ -387,7 +371,7 @@ class UniPoly:
             if isinstance(c, LaurentLambda):
                 out.append(c.to_json())
             else:
-                out.append(rational_to_str(Fraction(c)))
+                out.append(str(Fraction(c)))
         return out
 
     @classmethod
@@ -493,6 +477,8 @@ def squarefree_decomposition(p: UniPoly) -> list[tuple[UniPoly, int]]:
 # Rational roots via modular lifting and rational reconstruction
 # ---------------------------------------------------------------------------
 
+# Probed first: 5011 (lambda = 1) and 4111 (lambda = 2) certify e61's class
+# a^15 - c irreducible; at lambda = 1 consecutive primes first do so at 4441.
 _ROOT_PRIMES = (4099, 4111, 4127, 4129, 4133, 4139, 4153, 4157, 5003, 5009,
                 5011, 5021, 5023, 5039, 5051, 5059, 6007, 6011, 6029, 6037)
 
@@ -568,122 +554,71 @@ def _rational_reconstruct(r: int, m: int, num_bound: int, den_bound: int) -> Fra
     return Fraction(num, den)
 
 
-def rational_roots(p: UniPoly) -> list[tuple[Fraction, int]]:
-    """All rational roots of p with multiplicities, sorted ascending.
-
-    Uses root finding mod a small prime, Hensel lifting and rational
-    reconstruction, so huge integer coefficients stay cheap.
-    """
-    if p.is_zero():
-        raise ValueError("rational_roots of the zero polynomial")
-    roots: list[tuple[Fraction, int]] = []
-    # strip roots at 0
-    k0 = 0
-    while k0 <= p.degree and p[k0] == 0:
-        k0 += 1
-    if k0:
-        roots.append((Fraction(0), k0))
-        p = UniPoly(p.coeffs[k0:])
-    if p.degree < 1:
-        return roots
-    if p.degree == 1:
-        r = -Fraction(p[0]) / Fraction(p[1])
-        roots.append((r, 1))
-        return sorted(roots)
-
-    ints = _to_int_poly(p)
-    candidates = _rational_root_candidates(ints)
-    for r in candidates:
-        mult = 0
-        q = p
-        lin = UniPoly((-r, Fraction(1)))
-        while True:
-            quo, rem = q.divmod(lin)
-            if not rem.is_zero():
-                break
-            mult += 1
-            q = quo
-        if mult:
-            roots.append((r, mult))
-    return sorted(roots)
-
-
-def _rational_root_candidates(ints: list[int]) -> list[Fraction]:
-    """Candidate rational roots of a primitive integer polynomial, found by
-    lifting roots mod a prime; every true rational root is among them."""
-    # squarefree part over Q keeps the modular roots simple
-    pq = UniPoly([Fraction(c) for c in ints])
-    sf = pq // poly_gcd(pq, pq.derivative())
-    g = _to_int_poly(sf)
-    deg = len(g) - 1
-    if deg < 1:
-        return []
-    num_bound = abs(ints[0]) if ints[0] else abs(ints[-1])
-    den_bound = abs(ints[-1])
-    for prime in _ROOT_PRIMES:
+def _good_primes(g: list[int]):
+    """Yield (p, g mod p) for the primes p that divide neither the leading
+    coefficient of the squarefree integer polynomial g nor its discriminant:
+    the _ROOT_PRIMES table first, then every larger prime.  Only finitely
+    many primes are skipped, so the stream never runs dry."""
+    later = (n for n in itertools.count(_ROOT_PRIMES[-1] + 2, 2)
+             if all(n % q for q in range(3, math.isqrt(n) + 1, 2)))
+    for prime in itertools.chain(_ROOT_PRIMES, later):
         if g[-1] % prime == 0:
             continue
         gp = [c % prime for c in g]
         dgp = _fp_trim([c * k % prime for k, c in enumerate(gp) if k >= 1])
-        if len(_fp_gcd(gp, dgp, prime)) != 1:
-            continue
-        res = [x for x in range(prime) if _fp_eval(gp, x, prime) == 0]
-        if not res:
-            return []
-        # Hensel-lift each simple root until the modulus dominates the bounds
-        target = 2 * max(1, num_bound) * max(1, den_bound) + 1
-        cands = []
-        for r in res:
+        if len(_fp_gcd(gp, dgp, prime)) == 1:
+            yield prime, gp
+
+
+def _squarefree_roots(g: UniPoly) -> list[Fraction]:
+    """The rational roots of a squarefree polynomial over Q, ascending.
+
+    Each root modulo one good prime is Newton-lifted until the modulus
+    exceeds the reconstruction bounds, reconstructed as a fraction and kept
+    if it divides g exactly, so huge integer coefficients stay cheap.
+    """
+    roots = []
+    if g[0] == 0:
+        roots.append(Fraction(0))
+        g = UniPoly(g.coeffs[1:])
+    if g.degree == 1:
+        roots.append(-Fraction(g[0]) / Fraction(g[1]))
+    elif g.degree > 1:
+        ints = _to_int_poly(g)
+        dints = [c * k for k, c in enumerate(ints) if k >= 1]
+        num_bound, den_bound = abs(ints[0]), abs(ints[-1])
+        target = 2 * num_bound * den_bound + 1
+        prime, gp = next(_good_primes(ints))
+        for r in range(prime):
+            if _fp_eval(gp, r, prime):
+                continue
             m = prime
             while m < target:
+                # g' is a unit at a simple root, so each step squares the modulus
                 m = m * m
-                fr = _fp_eval(g, r, m)
-                dfr = _fp_eval([c * k for k, c in enumerate(g) if k >= 1], r, m)
-                try:
-                    r = (r - fr * pow(dfr, -1, m)) % m
-                except ValueError:
-                    break  # derivative not invertible: no simple lift here
-            cand = _rational_reconstruct(r, m, num_bound, den_bound)
-            if cand is not None:
-                cands.append(cand)
-        return cands
-    return _divisor_candidates(ints)
+                r = (r - _fp_eval(ints, r, m) * pow(_fp_eval(dints, r, m), -1, m)) % m
+            root = _rational_reconstruct(r, m, num_bound, den_bound)
+            if root is not None and (g % UniPoly((-root, Fraction(1)))).is_zero():
+                roots.append(root)
+    return sorted(roots)
 
 
-def _divisor_candidates(ints: list[int]) -> list[Fraction]:
-    """Classic p/q enumeration; only used as a last resort for tiny inputs."""
-    def divisors(n: int) -> list[int]:
-        n = abs(n)
-        out = []
-        i = 1
-        while i * i <= n:
-            if n % i == 0:
-                out.extend((i, n // i))
-            i += 1
-        return sorted(set(out))
-
-    a0, an = ints[0], ints[-1]
-    cands = set()
-    for num in divisors(a0):
-        for den in divisors(an):
-            cands.add(Fraction(num, den))
-            cands.add(Fraction(-num, den))
-    return sorted(cands)
+def rational_roots(p: UniPoly) -> list[tuple[Fraction, int]]:
+    """All rational roots of p with multiplicities, sorted ascending."""
+    if p.is_zero():
+        raise ValueError("rational_roots of the zero polynomial")
+    return sorted((root, m) for g, m in squarefree_decomposition(p)
+                  for root in _squarefree_roots(g))
 
 
 # ---------------------------------------------------------------------------
 # Coprime splitting into powers of distinct irreducibles
 # ---------------------------------------------------------------------------
 
-def _is_irreducible_mod_p(g: list[int], prime: int) -> bool:
-    """Distinct-degree certificate: g irreducible over F_p implies over Q."""
-    gp = _fp_trim([c % prime for c in g])
+def _is_irreducible_mod_p(gp: list[int], prime: int) -> bool:
+    """Distinct-degree certificate for g mod p, squarefree of full degree:
+    g irreducible over F_p implies g irreducible over Q."""
     deg = len(gp) - 1
-    if deg <= 0 or g[-1] % prime == 0:
-        return False
-    dgp = _fp_trim([c * k % prime for k, c in enumerate(gp) if k >= 1])
-    if len(_fp_gcd(gp, dgp, prime)) != 1:
-        return False
     h = _fp_divmod([0, 1], gp, prime)[1]  # x mod g
     for _ in range(deg // 2):
         # h <- h^p mod g (iterated Frobenius)
@@ -710,9 +645,8 @@ def _certified_irreducible_factors(g: UniPoly) -> list[UniPoly]:
     if g.degree <= 3:
         # no rational roots and degree <= 3 means irreducible
         return [g]
-    ints = _to_int_poly(g)
-    for prime in _ROOT_PRIMES:
-        if _is_irreducible_mod_p(ints, prime):
+    for prime, gp in itertools.islice(_good_primes(_to_int_poly(g)), len(_ROOT_PRIMES)):
+        if _is_irreducible_mod_p(gp, prime):
             return [g]
     # reducible mod every probed prime: fall back to a full factorization
     import sympy
@@ -722,7 +656,8 @@ def _certified_irreducible_factors(g: UniPoly) -> list[UniPoly]:
     _, factors = sympy.Poly(expr, x).factor_list()
     out = []
     for fac, mult in factors:
-        assert mult == 1
+        if mult != 1:
+            raise InternalError(f"a squarefree polynomial has a repeated factor: {g}")
         cs = [Fraction(str(c)) for c in reversed(sympy.Poly(fac, x).all_coeffs())]
         out.append(UniPoly(cs).monic())
     return out
@@ -739,7 +674,7 @@ def coprime_split(p: UniPoly) -> list[UniPoly]:
     pieces: list[UniPoly] = []
     for g, m in squarefree_decomposition(p):
         rest = g
-        for root, _ in rational_roots(g):
+        for root in _squarefree_roots(g):
             lin = UniPoly((-root, Fraction(1)))
             pieces.append(lin ** m)
             rest = rest // lin

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import math
 import os
 import subprocess
 import sys
@@ -8,7 +9,7 @@ from fractions import Fraction
 import pytest
 
 from conftest import SPEC_DIR
-from gaussmanin import cli, critical, intdep
+from gaussmanin import cli, critical, intdep, scalars
 from gaussmanin.cli import main
 from gaussmanin.engine import RelationData, GMOperator, analyze, build_operator, load_spec_file
 from gaussmanin.ode import DiffOp
@@ -208,14 +209,24 @@ def test_verify_critical_refuses_an_empty_check(capsys, flags):
     assert err.count("\n") == 1 and err.startswith("error: ")
 
 
-def test_closed_stdout_is_not_bad_input():
+def _src_env() -> dict:
+    """The environment with this checkout's src/ first on PYTHONPATH."""
     env = dict(os.environ)
     src = str(SPEC_DIR.parent / "src")
     env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    return env
+
+
+def _python(*argv, timeout=60):
+    return subprocess.run([sys.executable, *argv], capture_output=True, text=True,
+                          env=_src_env(), timeout=timeout)
+
+
+def test_closed_stdout_is_not_bad_input():
     proc = subprocess.Popen(
         [sys.executable, "-m", "gaussmanin.cli", "intdep", str(SPEC_DIR / "e3.json"),
          "--format", "json"],
-        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=_src_env())
     assert proc.stdout.readline() == b"{\n"
     proc.stdout.close()
     err = proc.stderr.read()
@@ -261,6 +272,55 @@ def test_selftest(capsys):
     code, out, _ = run_cli(capsys, "selftest")
     assert code == 0
     assert out.count("PASS") >= 5
+
+
+# the a·b^k rule with 1 added to the t = 1 coefficient
+_WRONG_PRODUCT_RULE = """
+import inspect, sys, textwrap
+from gaussmanin import abalgebra, selftest
+src = textwrap.dedent(inspect.getsource(abalgebra.ABElement.__mul__))
+rule = "add = c * (comb(i1, t) * rising)"
+if rule not in src:
+    sys.exit(3)
+ns = {}
+exec(src.replace(rule, "add = c * (comb(i1, t) * rising + (t == 1))"), vars(abalgebra), ns)
+abalgebra.ABElement.__mul__ = ns["__mul__"]
+sys.exit(selftest.run())
+"""
+
+
+def test_selftest_fails_under_python_O_on_a_wrong_product_rule():
+    proc = _python("-O", "-c", _WRONG_PRODUCT_RULE)
+    assert proc.returncode == 1
+    assert "FAIL  commutators" in proc.stdout
+
+
+def test_factor_when_every_table_prime_divides_the_leading_coefficient(tmp_path):
+    # λ = 1/P makes P divide the leading coefficient of the integer class
+    spec = tmp_path / "x4y4.json"
+    spec.write_text(json.dumps({"nvars": 2, "monomials": [[4, 0], [0, 4]],
+                                "lambda_monomial": [1, 1]}))
+    lam = f"1/{math.prod(scalars._ROOT_PRIMES)}"
+    proc = _python("-m", "gaussmanin.cli", "factor", str(spec), f"--lambda={lam}",
+                   "--prec", "8", timeout=30)
+    assert proc.returncode == 0
+    assert "right-divides P_d: yes" in proc.stdout
+
+
+def test_e61_class_splits_without_sympy():
+    script = """
+import sys
+from fractions import Fraction
+from gaussmanin.engine import build_operator, load_spec_file
+from gaussmanin.scalars import coprime_split
+op = build_operator(load_spec_file(sys.argv[1]))
+for lam in (1, 2, 3):
+    print(len(coprime_split(op.specialized(Fraction(lam)).mod_b())))
+print("sympy" in sys.modules)
+"""
+    proc = _python("-c", script, str(SPEC_DIR / "e61.json"))
+    assert proc.returncode == 0
+    assert proc.stdout.split() == ["2", "2", "2", "False"]
 
 
 def test_missing_file_exits_2(capsys):

@@ -11,6 +11,7 @@ from gaussmanin.errors import (
     HIsZero,
     LambdaZero,
     NotRegular,
+    PreconditionError,
     PreconditionInitialForm,
     TruncationTooSmall,
 )
@@ -113,6 +114,14 @@ def test_hensel_ordering_permutations():
         res = hensel_decompose(p, 12, classes=list(perm))
         assert (res.product() - p.truncate(12)).is_zero()
         assert [f.mod_b_class for f in res.factors] == list(perm)
+
+
+def test_hensel_refuses_classes_that_do_not_multiply_to_p():
+    rng = random.Random(44)
+    p = _monic_with_class(rng, UniPoly.from_roots([Fraction(1), Fraction(2)]))
+    wrong = [UniPoly.from_roots([Fraction(1)]), UniPoly.from_roots([Fraction(3)])]
+    with pytest.raises(PreconditionError, match="do not multiply"):
+        hensel_decompose(p, 12, classes=wrong)
 
 
 # ---------------------------------------------------------------------------

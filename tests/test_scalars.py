@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from gaussmanin.errors import NotCoprime
 from gaussmanin.scalars import (
+    _ROOT_PRIMES,
     LaurentLambda,
     UniPoly,
     bezout,
@@ -243,3 +244,55 @@ def test_rational_roots_large_denominator():
     root = Fraction(12345, 677)
     p = UniPoly.from_roots([root, root]) * (UniPoly.x_power(2) + UniPoly.const(Fraction(1)))
     assert rational_roots(p) == [(root, 2)]
+
+
+_TABLE_PRODUCT = math.prod(_ROOT_PRIMES)
+_small_roots = st.builds(Fraction, st.integers(-20, 20),
+                        st.one_of(st.integers(1, 9), st.sampled_from(_ROOT_PRIMES)))
+
+
+@st.composite
+def _polynomials(draw):
+    """Rational roots with multiplicities times a polynomial of degree 0-4
+    whose constant term may have the denominator prod(_ROOT_PRIMES), scaled.
+    Primes of the table that divide a root denominator or the leading
+    coefficient of the primitive integer form are ruled out for the modular
+    root search; at times every one of them is ruled out."""
+    p = UniPoly.const(Fraction(1))
+    for root, m in draw(st.lists(st.tuples(_small_roots, st.integers(1, 3)), max_size=4)):
+        p = p * UniPoly.from_roots([root] * m)
+    tail = draw(st.lists(st.integers(-6, 6), max_size=4))
+    den = draw(st.sampled_from([1, _TABLE_PRODUCT]))
+    tail = [Fraction(c, den if k == 0 else 1) for k, c in enumerate(tail)]
+    p = p * UniPoly(tail + [Fraction(draw(st.integers(1, 3)))])
+    return p * Fraction(draw(st.integers(-30, 30).filter(bool)), draw(st.integers(1, 7)))
+
+
+def _sympy_poly(p: UniPoly):
+    x = sympy.Symbol("x")
+    return sympy.Poly([sympy.Rational(c.numerator, c.denominator) for c in reversed(p.coeffs)], x)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_polynomials())
+def test_rational_roots_and_coprime_split_match_sympy(p):
+    expected = sorted((Fraction(int(r.p), int(r.q)), m)
+                      for r, m in sympy.roots(_sympy_poly(p), filter="Q").items())
+    assert rational_roots(p) == expected
+    monic = p.monic()
+    _, factors = _sympy_poly(monic).factor_list()
+    expected = sorted(
+        (UniPoly([Fraction(int(c.p), int(c.q)) for c in reversed(f.all_coeffs())]).monic() ** m).coeffs
+        for f, m in factors)
+    assert sorted(piece.coeffs for piece in coprime_split(monic)) == expected
+
+
+def test_rational_roots_when_every_table_prime_divides_the_leading_coefficient():
+    # every prime of the table divides the leading coefficient of the integer
+    # form 4099·P·(x - 1/4099)·(x + 2)·(x^2 + 3/P), so the modular search has
+    # to run on a larger prime, and 4099 could not see the root 1/4099
+    roots = [Fraction(1, 4099), Fraction(-2)]
+    quadratic = UniPoly((Fraction(3, _TABLE_PRODUCT), Fraction(0), Fraction(1)))
+    p = UniPoly.from_roots(roots) * quadratic
+    assert rational_roots(p) == [(Fraction(-2), 1), (Fraction(1, 4099), 1)]
+    assert coprime_split(p) == [quadratic] + [UniPoly.from_roots([r]) for r in roots]
