@@ -115,24 +115,28 @@ def _lift_pair(p: ABElement, f1: UniPoly, f2: UniPoly, order: int) -> tuple[ABEl
 
     The correction at b-order k solves the commutative Bezout equation
     u·f2 + v·f1 = e_k; corrections commute with a up to higher b-order
-    because a·b^k = b^k·a + k·b^(k+1).
+    because a·b^k = b^k·a + k·b^(k+1).  Each layer updates the defect by its
+    corrections: p − (L+du)(R+dv) = (p − L·R) − du·R − L·dv − du·dv.
     """
-    s, t = bezout(f1, f2)
+    _, t = bezout(f1, f2)
     left = ABElement.from_poly_in_a(f1, order)
     right = ABElement.from_poly_in_a(f2, order)
+    defect = p - left * right
     for k in range(1, order):
-        defect = p - left * right
         if defect.is_zero():
             break
-        assert defect.b_order >= k
+        if defect.b_order < k:
+            raise InternalError(f"the lift defect has a term below b^{k}")
         e_k = _b_layer(defect, k)
         if e_k.is_zero():
             continue
         # u·f2 = e_k mod f1 via the inverse t of f2 modulo f1
         u = (e_k * t) % f1
         v = (e_k - u * f2) // f1
-        left = left + ABElement({(k, i): c for i, c in enumerate(u.coeffs)}, order)
-        right = right + ABElement({(k, i): c for i, c in enumerate(v.coeffs)}, order)
+        du = ABElement({(k, i): c for i, c in enumerate(u.coeffs)}, order)
+        dv = ABElement({(k, i): c for i, c in enumerate(v.coeffs)}, order)
+        defect -= du * right + left * dv + du * dv
+        left, right = left + du, right + dv
     if not (p - left * right).is_zero():
         raise InternalError(f"the lifted pair does not reconstruct p mod b^{order}")
     return left, right
@@ -308,7 +312,8 @@ def split_irregular(p: ABElement, order: int | None = None) -> IrregularSplit:
             continue
         xi, rem = right_divide(-layer, p_base)
         if not rem.is_zero():
-            assert rem.b_order >= q, "remainder not divisible by b^q"
+            if rem.b_order < q:
+                raise InternalError(f"a remainder of the split is not divisible by b^{q}")
             eta = rem.shift_b(-q) * (Fraction(1) / rho)
         else:
             eta = ABElement.zero(work_trunc)
@@ -317,19 +322,17 @@ def split_irregular(p: ABElement, order: int | None = None) -> IrregularSplit:
         residual = residual + xi * W + X * eta + xi * eta
         X = X + xi
         W = W + eta
-    if not residual.is_zero():
-        assert residual.ab_valuation > bound
+    if not residual.is_zero() and residual.ab_valuation <= bound:
+        raise InternalError(f"the split leaves a residual of degree <= {bound}")
 
     left = X.truncate(order)
     right = W.truncate(order)
     Z = left - ABElement.term(q, 0, rho, trunc=order)
     Q = right - ABElement(dict(p_base.terms), trunc=order)
-    if not Z.is_zero():
-        assert Z.a_degree == q + h
-        assert Z.ab_valuation >= q + 1
-    if not Q.is_zero():
-        assert Q.a_degree <= d - q - 1
-        assert Q.ab_valuation >= d - q + 1
+    if not Z.is_zero() and (Z.a_degree != q + h or Z.ab_valuation < q + 1):
+        raise InternalError("the irregular factor's tail Z has the wrong shape")
+    if not Q.is_zero() and (Q.a_degree > d - q - 1 or Q.ab_valuation < d - q + 1):
+        raise InternalError("the regular factor's tail Q has the wrong shape")
     return IrregularSplit(left=left, right=right, rho=rho, q=q, d=d, h=h, trunc=order)
 
 
@@ -452,7 +455,8 @@ def regular_quotient_pipeline(g: GMOperator, lambda_value: Fraction,
 
     zero = next((f for f in result.factors
                  if f.mod_b_class[0] == 0), None)
-    assert zero is not None, "operator class always has the eigenvalue-0 block"
+    if zero is None:
+        raise InternalError("the operator class has no eigenvalue-0 block")
 
     block = zero.element
     if zero.regular is None:

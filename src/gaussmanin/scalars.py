@@ -416,12 +416,11 @@ class UniPoly:
 # ---------------------------------------------------------------------------
 
 def poly_gcd(u: UniPoly, v: UniPoly) -> UniPoly:
-    """Monic gcd over Q."""
+    """Monic gcd over Q, by Euclid on primitive integer remainders."""
     a, b = u, v
     while not b.is_zero():
-        a, b = b, a % b
-    if a.is_zero():
-        return a
+        r = a % b
+        a, b = b, UniPoly(map(Fraction, _to_int_poly(r))) if r else r
     return a.monic()
 
 

@@ -1,4 +1,7 @@
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -41,6 +44,20 @@ def e61():
 @pytest.fixture(scope="session")
 def quintic():
     return load_spec_file(SPEC_DIR / "quintic.json")
+
+
+def src_env() -> dict:
+    """The environment with this checkout's src/ first on PYTHONPATH."""
+    env = dict(os.environ)
+    src = str(SPEC_DIR.parent / "src")
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    return env
+
+
+def run_python(*argv, timeout=60):
+    """Run a child Python on this checkout's src/ and capture its output."""
+    return subprocess.run([sys.executable, *argv], capture_output=True, text=True,
+                          env=src_env(), timeout=timeout)
 
 
 def random_element(rng: random.Random, max_a=4, max_b=4, n_terms=5) -> ABElement:

@@ -3,12 +3,15 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import random_monic_chain
-from gaussmanin import build_operator, cyclic_symmetric_spec
+from conftest import random_monic_chain, run_python
+from gaussmanin import build_operator, cyclic_symmetric_spec, factor
 from gaussmanin.abalgebra import ABElement, right_divide
 from gaussmanin.errors import (
     HIsZero,
+    InternalError,
     LambdaZero,
     NotRegular,
     PreconditionError,
@@ -18,13 +21,15 @@ from gaussmanin.errors import (
 from gaussmanin.factor import (
     FactorizationResult,
     IrregularSplit,
+    _b_layer,
+    _lift_pair,
     bernstein_element,
     hensel_decompose,
     is_regular,
     regular_quotient_pipeline,
     split_irregular,
 )
-from gaussmanin.scalars import LaurentLambda, UniPoly
+from gaussmanin.scalars import LaurentLambda, UniPoly, bezout, coprime_split
 
 A = ABElement.a()
 B = ABElement.b()
@@ -125,6 +130,97 @@ def test_hensel_refuses_classes_that_do_not_multiply_to_p():
 
 
 # ---------------------------------------------------------------------------
+# _lift_pair against the full-recompute lift it replaced
+# ---------------------------------------------------------------------------
+
+def _lift_pair_full_recompute(p, f1, f2, order):
+    """The lift that recomputes p - L·R from scratch at every b-layer."""
+    _, t = bezout(f1, f2)
+    left = ABElement.from_poly_in_a(f1, order)
+    right = ABElement.from_poly_in_a(f2, order)
+    for k in range(1, order):
+        defect = p - left * right
+        if defect.is_zero():
+            break
+        assert defect.b_order >= k
+        e_k = _b_layer(defect, k)
+        if e_k.is_zero():
+            continue
+        u = (e_k * t) % f1
+        v = (e_k - u * f2) // f1
+        left = left + ABElement({(k, i): c for i, c in enumerate(u.coeffs)}, order)
+        right = right + ABElement({(k, i): c for i, c in enumerate(v.coeffs)}, order)
+    assert (p - left * right).is_zero()
+    return left, right
+
+
+_ROOT_POOL = sorted({Fraction(v, w) for v in (-3, -2, -1, 1, 2, 3) for w in (1, 2)})
+_SMALL = st.builds(Fraction, st.integers(-4, 4), st.integers(1, 3))
+
+
+@st.composite
+def _coprime_lifts(draw):
+    """p = f1·f2 + (b-tail) with coprime f1, f2 as in acceptance criterion 6,
+    and a truncation order."""
+    roots = draw(st.lists(st.sampled_from(_ROOT_POOL), min_size=2, max_size=3, unique=True))
+    pieces = [UniPoly.from_roots([r] * draw(st.integers(1, 2))) for r in roots]
+    f1, f2 = pieces[0], UniPoly.const(Fraction(1))
+    for piece in pieces[1:]:
+        f2 = f2 * piece
+    deg = f1.degree + f2.degree
+    tail = draw(st.dictionaries(st.tuples(st.integers(1, 6), st.integers(0, deg - 1)), _SMALL))
+    order = draw(st.integers(2, 16))
+    p = (ABElement.from_poly_in_a(f1 * f2) + ABElement(tail)).truncate(order)
+    return p, f1, f2, order
+
+
+@settings(max_examples=60, deadline=None)
+@given(_coprime_lifts())
+def test_lift_matches_full_recompute_on_random_coprime_splits(case):
+    assert _lift_pair(*case) == _lift_pair_full_recompute(*case)
+
+
+@pytest.mark.parametrize("name", ["e2", "e3", "e4", "quintic"])
+def test_lift_matches_full_recompute_on_shipped_specs(request, name):
+    rest = build_operator(request.getfixturevalue(name)).specialized(Fraction(1)).truncate(16)
+    classes = coprime_split(rest.mod_b())
+    assert len(classes) >= 2
+    for f1 in classes[:-1]:
+        f2 = rest.mod_b() // f1
+        pair = _lift_pair(rest, f1, f2, 16)
+        assert pair == _lift_pair_full_recompute(rest, f1, f2, 16)
+        rest = pair[1]
+
+
+def test_lift_computes_two_full_products(e2, monkeypatch):
+    # a product of two b-order-0 elements touches every term; the lift needs
+    # one for the initial defect and one for the final check, whatever the
+    # number of layers
+    p = build_operator(e2).specialized(Fraction(1)).truncate(16)
+    f1 = coprime_split(p.mod_b())[0]
+    mul = ABElement.__mul__
+    full, corrections = [], []
+
+    def counting(x, y):
+        if isinstance(y, ABElement) and not x.is_zero() and not y.is_zero():
+            (full if x.b_order == 0 == y.b_order else corrections).append(1)
+        return mul(x, y)
+
+    monkeypatch.setattr(ABElement, "__mul__", counting)
+    _lift_pair(p, f1, p.mod_b() // f1, 16)
+    assert len(full) == 2
+    assert len(corrections) > 0
+
+
+def test_lift_with_a_wrong_bezout_inverse_fails_its_check(monkeypatch):
+    p = ABElement.from_poly_in_a(UniPoly.from_roots([Fraction(1), Fraction(2)])) + B
+    monkeypatch.setattr(factor, "bezout", lambda u, v: (None, bezout(u, v)[1] + UniPoly.const(1)))
+    with pytest.raises(InternalError, match="does not reconstruct"):
+        _lift_pair(p.truncate(2), UniPoly.from_roots([Fraction(1)]),
+                   UniPoly.from_roots([Fraction(2)]), 2)
+
+
+# ---------------------------------------------------------------------------
 # split_irregular
 # ---------------------------------------------------------------------------
 
@@ -186,6 +282,37 @@ def test_split_irregular_accepts_q_zero_example_shape():
     split = split_irregular(p, 10)
     assert split.q == 0 and split.rho == -2
     assert (split.left * split.right - p.truncate(10)).is_zero()
+
+
+# right_divide returning a remainder of b-order 0, below q = 1
+_SHALLOW_REMAINDER = """
+import sys
+from gaussmanin import factor
+from gaussmanin.abalgebra import ABElement
+from gaussmanin.errors import InternalError
+
+divide = factor.right_divide
+
+def shallow(p, d):
+    xi, rem = divide(p, d)
+    return xi, rem + ABElement.term(0, 7)
+
+factor.right_divide = shallow
+A, B = ABElement.a(), ABElement.b()
+try:
+    factor.split_irregular(A ** 3 + B * A - B * B, 8)
+except InternalError as err:
+    print(err)
+    sys.exit(0)
+sys.exit(1)
+"""
+
+
+def test_split_irregular_checks_its_remainders_under_python_O():
+    for flags in ((), ("-O",)):
+        proc = run_python(*flags, "-c", _SHALLOW_REMAINDER)
+        assert proc.returncode == 0, proc.stderr
+        assert "not divisible by b^1" in proc.stdout
 
 
 # ---------------------------------------------------------------------------

@@ -276,14 +276,14 @@ def _sympy_poly(p: UniPoly):
 @settings(max_examples=100, deadline=None)
 @given(_polynomials())
 def test_rational_roots_and_coprime_split_match_sympy(p):
-    expected = sorted((Fraction(int(r.p), int(r.q)), m)
-                      for r, m in sympy.roots(_sympy_poly(p), filter="Q").items())
-    assert rational_roots(p) == expected
     monic = p.monic()
     _, factors = _sympy_poly(monic).factor_list()
-    expected = sorted(
-        (UniPoly([Fraction(int(c.p), int(c.q)) for c in reversed(f.all_coeffs())]).monic() ** m).coeffs
-        for f, m in factors)
+    factors = [(UniPoly([Fraction(int(c.p), int(c.q)) for c in reversed(f.all_coeffs())]).monic(), m)
+               for f, m in factors]
+    # the roots of the linear factors: sympy.roots itself can raise ValueError
+    # (sympy 1.14, on a quadratic factor whose discriminant has ~150 digits)
+    assert rational_roots(p) == sorted((-f[0], m) for f, m in factors if f.degree == 1)
+    expected = sorted((f ** m).coeffs for f, m in factors)
     assert sorted(piece.coeffs for piece in coprime_split(monic)) == expected
 
 
@@ -296,3 +296,21 @@ def test_rational_roots_when_every_table_prime_divides_the_leading_coefficient()
     p = UniPoly.from_roots(roots) * quadratic
     assert rational_roots(p) == [(Fraction(-2), 1), (Fraction(1, 4099), 1)]
     assert coprime_split(p) == [quadratic] + [UniPoly.from_roots([r]) for r in roots]
+
+
+@settings(max_examples=100, deadline=None)
+@given(_polynomials(), _polynomials(), st.lists(_small_roots, max_size=3))
+def test_poly_gcd_matches_sympy(u, v, common):
+    shared = UniPoly.from_roots(common)
+    u, v = u * shared, v * shared
+    expected = sympy.gcd(_sympy_poly(u), _sympy_poly(v)).monic()
+    assert poly_gcd(u, v).coeffs == \
+        tuple(Fraction(int(c.p), int(c.q)) for c in reversed(expected.all_coeffs()))
+
+
+def test_rational_roots_of_many_table_prime_denominators():
+    # degree 23: Euclid over Q without content removal swelled the
+    # coefficients of the squarefree decomposition's gcds
+    roots = [Fraction(1, q) for q in _ROOT_PRIMES] + [Fraction(-2)]
+    p = UniPoly.from_roots(roots) * UniPoly((Fraction(3), Fraction(0), Fraction(1)))
+    assert rational_roots(p) == [(r, 1) for r in sorted(roots)]
