@@ -234,7 +234,8 @@ def _analyze_columns(monomials, lambda_monomial) -> RelationData:
     side_lambda = r_abs + sum(-p[j] for j in J_minus)
     side_plus = sum(p[j] for j in J_plus)
     # equality would force a quasi-homogeneity, excluded by condition (C)
-    assert side_lambda != side_plus
+    if side_lambda == side_plus:
+        raise InternalError("both sides of the monomial relation have the same weight")
     d = min(side_lambda, side_plus)
     dh = max(side_lambda, side_plus)
     h = dh - d
@@ -267,28 +268,32 @@ def _analyze_columns(monomials, lambda_monomial) -> RelationData:
         rho=rho, r_abs=r_abs, r=r, p=p, H=H, J_plus=J_plus, J_minus=J_minus,
         Delta=Delta, delta=delta, d=d, h=h, eta=eta, c=c,
         mtilde_inv=tuple(tuple(row) for row in inv))
-    _assert_relation_invariants(spec, rel)
+    _check_relation_invariants(spec, rel)
     return rel
 
 
-def _assert_relation_invariants(spec: PolySpec, rel: RelationData) -> None:
+def _check_relation_invariants(spec: PolySpec, rel: RelationData) -> None:
+    """Raise InternalError unless rel is a consistent monomial relation of spec."""
     n, mono = spec.n_vars, spec.n_monomials
-    for i in range(n):
-        total = sum(rel.rho[j] * spec.monomials[j][i] for j in range(n))
-        assert total == spec.lambda_monomial[i]
     rows = spec.matrix_rows()
-    for i in range(n):
-        lhs = sum(rows[i][j] * rel.Delta[j] for j in range(mono))
-        rhs = sum(rows[i][j] * rel.delta[j] for j in range(mono))
-        assert lhs == rhs
-    assert sum(rel.Delta) == rel.d + rel.h and sum(rel.delta) == rel.d
-    assert rel.h >= 1 and rel.d >= 1
-    assert all(rel.Delta[j] == 0 or rel.delta[j] == 0 for j in range(mono))
-    assert all(rel.Delta[j] == 0 and rel.delta[j] == 0 for j in rel.H)
-    assert (rel.r > 0) == (rel.Delta[mono - 1] > 0)
-    for j in range(n):
-        assert (rel.eta[j] == 0) == (j in rel.H)
-    assert rel.c != 0
+    checks = {
+        "ρ does not solve M·ρ = α_λ": all(
+            sum(rel.rho[j] * spec.monomials[j][i] for j in range(n)) == spec.lambda_monomial[i]
+            for i in range(n)),
+        "m^Δ and m^δ differ in x": all(
+            sum(row[j] * rel.Delta[j] for j in range(mono))
+            == sum(row[j] * rel.delta[j] for j in range(mono)) for row in rows),
+        "|Δ| ≠ d+h or |δ| ≠ d": sum(rel.Delta) == rel.d + rel.h and sum(rel.delta) == rel.d,
+        "h < 1 or d < 1": rel.h >= 1 and rel.d >= 1,
+        "Δ and δ overlap": all(rel.Delta[j] == 0 or rel.delta[j] == 0 for j in range(mono)),
+        "Δ or δ touches H": all(rel.Delta[j] == 0 and rel.delta[j] == 0 for j in rel.H),
+        "the sign of r disagrees with Δ's λ-exponent": (rel.r > 0) == (rel.Delta[mono - 1] > 0),
+        "η vanishes off H or not on H": all((rel.eta[j] == 0) == (j in rel.H) for j in range(n)),
+        "c = 0": rel.c != 0,
+    }
+    for message, ok in checks.items():
+        if not ok:
+            raise InternalError(f"monomial relation of {spec.poly_str()}: {message}")
 
 
 def monomial_chain(spec: PolySpec, gamma) -> tuple[HomogChain, Fraction]:

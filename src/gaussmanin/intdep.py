@@ -9,10 +9,12 @@ coefficients in the u_i that vanishes identically.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .engine import PolySpec, analyze
+from .errors import InternalError
 from .scalars import LaurentLambda, mat_det
 
 
@@ -27,10 +29,6 @@ class LinearForms:
 
     def to_json(self) -> list:
         return [[str(x) for x in row] for row in self.rows]
-
-    @classmethod
-    def from_json(cls, data) -> "LinearForms":
-        return cls(tuple(tuple(Fraction(x) for x in row) for row in data))
 
     def format_row(self, j: int, n_vars: int) -> str:
         parts = []
@@ -52,7 +50,8 @@ def linear_forms(spec: PolySpec) -> LinearForms:
     rel = analyze(spec)
     forms = LinearForms(rel.mtilde_inv)
     for j in range(spec.n_monomials):
-        assert (forms.f_coefficient(j) == 0) == (j in rel.H)
+        if (forms.f_coefficient(j) == 0) != (j in rel.H):
+            raise InternalError(f"the f-coefficient of monomial {j} is zero off H or nonzero on H")
     return forms
 
 
@@ -71,22 +70,33 @@ def factored_relation_str(spec: PolySpec) -> str:
     return f"{side(rel.Delta)} - {lam}·{side(rel.delta)} = 0"
 
 
-# sparse multivariate polynomials: exponent tuple -> integer coefficient
-_IntPoly = dict[tuple[int, ...], int]
+# Sparse polynomials with Kronecker-packed keys: the monomial Π v_i^e_i is
+# the integer Σ e_i·base^i, so a product of monomials is a sum of keys.
+# Every digit stays below base, except the top one, which may be negative.
+_Poly = dict[int, int]
 
 
-def _mul_linear(poly: _IntPoly, form: list[int]) -> _IntPoly:
-    """Multiply by a linear form over variables (f, u_0..u_n)."""
-    out: _IntPoly = {}
-    for exps, c in poly.items():
-        for v, fc in enumerate(form):
-            if fc == 0:
-                continue
-            key = list(exps)
-            key[v] += 1
-            key = tuple(key)
-            out[key] = out.get(key, 0) + c * fc
-    return {k: v for k, v in out.items() if v}
+def _mul(p: _Poly, q: _Poly, acc: _Poly | None = None) -> _Poly:
+    """acc + p·q, with zero coefficients dropped."""
+    out = dict(acc) if acc else {}
+    get = out.get
+    for k2, c2 in q.items():
+        for k1, c1 in p.items():
+            k = k1 + k2
+            out[k] = get(k, 0) + c1 * c2
+    return {k: c for k, c in out.items() if c}
+
+
+def _pack(exps, base: int) -> int:
+    return sum(e * base ** i for i, e in enumerate(exps))
+
+
+def _unpack(key: int, base: int, length: int) -> tuple[int, ...]:
+    digits = []
+    for _ in range(length):
+        key, e = divmod(key, base)
+        digits.append(e)
+    return tuple(digits)
 
 
 @dataclass(frozen=True, eq=False)
@@ -98,9 +108,6 @@ class DependenceRelation:
     r: int
     # coefficient of f^k: map u-exponent tuple -> LaurentLambda
     coefficients: tuple[dict[tuple[int, ...], LaurentLambda], ...]
-
-    def coefficient(self, k: int) -> dict[tuple[int, ...], LaurentLambda]:
-        return self.coefficients[k] if k <= self.degree else {}
 
     def is_monic(self) -> bool:
         top = self.coefficients[self.degree]
@@ -160,29 +167,29 @@ def dependence_relation(spec: PolySpec) -> DependenceRelation:
     """Expand the relation as a monic polynomial in f.
 
     Expansion runs over scaled integer rows (determinant times the inverse
-    matrix) so only the final normalization touches rationals.
+    matrix) so only the final normalization touches rationals.  Keys pack
+    the exponents of (f, u_0..u_n) in base d+h+1, above any exponent.
     """
     rel = analyze(spec)
     n = spec.n_vars
     mono = spec.n_monomials
+    dh, d = rel.d + rel.h, rel.d
+    base = dh + 1
     det = mat_det(spec.mtilde())
-    adj_rows = []
+    forms = []
     for j in range(mono):
-        row = [rel.mtilde_inv[j][k] * det for k in range(mono)]
-        assert all(x.denominator == 1 for x in row)
-        adj_rows.append([int(x) for x in row])
+        row = [rel.mtilde_inv[j][v] * det for v in range(mono)]
+        if any(x.denominator != 1 for x in row):
+            raise InternalError(f"det·M̃⁻¹ has a non-integer entry in row {j}")
+        forms.append({base ** v: int(x) for v, x in enumerate(row) if x})
 
-    def product(vec) -> _IntPoly:
-        poly: _IntPoly = {tuple([0] * (n + 1)): 1}
+    def product(vec) -> _Poly:
+        poly: _Poly = {0: 1}
         for j in range(mono):
             for _ in range(vec[j]):
-                poly = _mul_linear(poly, adj_rows[j])
+                poly = _mul(poly, forms[j])
         return poly
 
-    big = product(rel.Delta)          # det^(d+h) · Π L^Δ
-    small = product(rel.delta)        # det^d · Π L^δ
-
-    dh, d = rel.d + rel.h, rel.d
     kappa_dh = Fraction(1)
     for j in range(mono):
         if rel.Delta[j]:
@@ -190,23 +197,24 @@ def dependence_relation(spec: PolySpec) -> DependenceRelation:
 
     coeffs: list[dict[tuple[int, ...], LaurentLambda]] = [dict() for _ in range(dh + 1)]
     scale_big = 1 / (det ** dh * kappa_dh)
-    for exps, c in big.items():
-        k = exps[0]
-        coeffs[k][exps[1:]] = LaurentLambda.const(c * scale_big)
+    for key, c in product(rel.Delta).items():        # det^(d+h) · Π L^Δ
+        exps = _unpack(key, base, n + 1)
+        coeffs[exps[0]][exps[1:]] = LaurentLambda.const(c * scale_big)
     scale_small = -Fraction(1) / (det ** d * kappa_dh)
     lam = LaurentLambda.monomial(rel.r)
-    for exps, c in small.items():
-        k = exps[0]
-        cur = coeffs[k].get(exps[1:], LaurentLambda.const(0))
-        cur = cur + lam * (c * scale_small)
+    for key, c in product(rel.delta).items():        # det^d · Π L^δ
+        exps = _unpack(key, base, n + 1)
+        k, e = exps[0], exps[1:]
+        cur = coeffs[k].get(e, LaurentLambda.const(0)) + lam * (c * scale_small)
         if cur:
-            coeffs[k][exps[1:]] = cur
-        elif exps[1:] in coeffs[k]:
-            del coeffs[k][exps[1:]]
+            coeffs[k][e] = cur
+        elif e in coeffs[k]:
+            del coeffs[k][e]
 
     relation = DependenceRelation(spec=spec, degree=dh, r=rel.r,
                                   coefficients=tuple(coeffs))
-    assert relation.is_monic()
+    if not relation.is_monic():
+        raise InternalError(f"the expanded relation is not monic of degree {dh} in f")
     return relation
 
 
@@ -214,87 +222,43 @@ def dependence_relation(spec: PolySpec) -> DependenceRelation:
 # Exact verification by full multivariate expansion
 # ---------------------------------------------------------------------------
 
-# x-space polynomials: (lambda exponent, x exponent tuple) -> Fraction
-_XPoly = dict[tuple[int, tuple[int, ...]], Fraction]
-
-
-def _x_mul(p: _XPoly, q: _XPoly) -> _XPoly:
-    out: _XPoly = {}
-    for (l1, e1), c1 in p.items():
-        for (l2, e2), c2 in q.items():
-            key = (l1 + l2, tuple(a + b for a, b in zip(e1, e2)))
-            v = out.get(key)
-            prod = c1 * c2
-            out[key] = prod if v is None else v + prod
-    return {k: v for k, v in out.items() if v}
-
-
-def _x_add_scaled(p: _XPoly, q: _XPoly, c: LaurentLambda) -> _XPoly:
-    out = dict(p)
-    for le, v in c.coeffs.items():
-        for (l2, e2), c2 in q.items():
-            key = (le + l2, e2)
-            cur = out.get(key, Fraction(0)) + v * c2
-            if cur:
-                out[key] = cur
-            elif key in out:
-                del out[key]
-    return out
-
-
-def _monomial_polys(spec: PolySpec) -> tuple[_XPoly, list[_XPoly]]:
-    """f(x) and the scaled partials u_i(x), with λ tracked exactly."""
-    n = spec.n_vars
-    f: _XPoly = {}
-    for j in range(n):
-        f[(0, spec.monomials[j])] = Fraction(1)
-    f[(1, spec.lambda_monomial)] = f.get((1, spec.lambda_monomial), Fraction(0)) + 1
-    us = []
-    for i in range(n):
-        u: _XPoly = {}
-        for j in range(n):
-            e = spec.monomials[j][i]
-            if e:
-                u[(0, spec.monomials[j])] = u.get((0, spec.monomials[j]), Fraction(0)) + e
-        e = spec.lambda_monomial[i]
-        if e:
-            u[(1, spec.lambda_monomial)] = u.get((1, spec.lambda_monomial), Fraction(0)) + e
-        us.append({k: v for k, v in u.items() if v})
-    return f, us
+def _horner(terms: dict[tuple[int, ...], _Poly], values: list[_Poly]) -> _Poly:
+    """Σ c·Π values[i]^e[i] over the items (e, c) of terms, by Horner's rule
+    in the first variable and recursively in the rest."""
+    if not values:
+        return terms[()]
+    groups: dict[int, dict] = {}
+    for e, c in terms.items():
+        groups.setdefault(e[0], {})[e[1:]] = c
+    acc: _Poly = {}
+    for k in range(max(groups), -1, -1):
+        inner = _horner(groups[k], values[1:]) if k in groups else None
+        acc = _mul(acc, values[0], inner)
+    return acc
 
 
 def verify_identity(relation: DependenceRelation) -> bool:
     """Substitute the actual polynomials f and u_i = x_i·∂f/∂x_i into the
-    expanded relation and check that the result is exactly zero."""
-    f, us = _monomial_polys(relation.spec)
-    n = relation.spec.n_vars
+    expanded relation and check that the result is exactly zero.
 
-    max_pow = [0] * n
-    for coeff in relation.coefficients:
-        for e in coeff:
-            for i in range(n):
-                max_pow[i] = max(max_pow[i], e[i])
-    u_powers: list[list[_XPoly]] = []
-    one: _XPoly = {(0, tuple([0] * n)): Fraction(1)}
-    for i in range(n):
-        tab = [one]
-        for _ in range(max_pow[i]):
-            tab.append(_x_mul(tab[-1], us[i]))
-        u_powers.append(tab)
+    Keys pack the x-exponents below the λ-exponent, in a base above the
+    largest x-exponent any term can reach.  Coefficients are cleared to
+    integers by their common denominator, which keeps the zero test exact.
+    """
+    spec = relation.spec
+    n = spec.n_vars
+    cols = list(spec.monomials) + [spec.lambda_monomial]
+    terms = {(k, *e): c for k, coeff in enumerate(relation.coefficients)
+             for e, c in coeff.items()}
+    top = max(sum(e) for e in terms)
+    base = top * max(max(col) for col in cols) + 1
+    lam_key = base ** n
+    keys = [_pack(col, base) for col in cols]
+    keys[-1] += lam_key
+    f = dict.fromkeys(keys, 1)
+    us = [{key: col[i] for key, col in zip(keys, cols) if col[i]} for i in range(n)]
 
-    def coeff_to_x(coeff: dict[tuple[int, ...], LaurentLambda]) -> _XPoly:
-        out: _XPoly = {}
-        for e, c in coeff.items():
-            mono = one
-            for i in range(n):
-                if e[i]:
-                    mono = _x_mul(mono, u_powers[i][e[i]])
-            out = _x_add_scaled(out, mono, c)
-        return out
-
-    acc: _XPoly = {}
-    for k in range(relation.degree, -1, -1):
-        acc = _x_mul(acc, f) if acc else acc
-        ck = coeff_to_x(relation.coefficients[k])
-        acc = _x_add_scaled(acc, ck, LaurentLambda.const(1)) if acc else ck
-    return not acc
+    den = math.lcm(*(v.denominator for c in terms.values() for v in c.coeffs.values()))
+    packed = {e: {le * lam_key: int(v * den) for le, v in c.coeffs.items()}
+              for e, c in terms.items()}
+    return not _horner(packed, [f] + us)

@@ -53,7 +53,8 @@ def from_euler(e: EulerPoly, q: int) -> ABElement:
         if c:
             terms[(k, i)] = c
             residual = residual - basis[i].scale(c)
-    assert residual.is_zero()
+    if not residual.is_zero():
+        raise InternalError(f"the Euler polynomial leaves a residual {residual}")
     return ABElement(terms)
 
 
@@ -71,7 +72,8 @@ def bernstein_polynomial(q_elem: ABElement) -> UniPoly:
     b = e.compose(flip)
     if d % 2:
         b = -b
-    assert b.degree == d and b[d] == 1
+    if b.degree != d or b[d] != 1:
+        raise InternalError(f"the Bernstein polynomial is not monic of degree {d}")
     return b
 
 

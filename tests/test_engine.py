@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import FAMILY_ALPHAS, random_spec
+from conftest import FAMILY_ALPHAS, SPEC_DIR, random_spec, run_python
 from gaussmanin import (
     GMOperator,
     PolySpec,
@@ -303,3 +303,40 @@ def test_e2_euler_polynomials_frozen(e2):
     for root in (Fraction(1, 3), Fraction(2, 3), Fraction(1, 2)):
         expected_d = expected_d * UniPoly((-root, Fraction(1)))
     assert euler_form(op.P_d).to_rational() == expected_d
+
+
+# a perturbed ρ and a non-monic Euler polynomial each break an invariant
+_BROKEN_INVARIANTS = """
+import sys
+from fractions import Fraction
+from gaussmanin import engine, ode
+from gaussmanin.abalgebra import ABElement
+from gaussmanin.errors import InternalError
+
+solve = engine.mat_solve
+engine.mat_solve = lambda a, b: [x + 1 for x in solve(a, b)]
+engine._analyze_columns.cache_clear()
+try:
+    engine.analyze(engine.load_spec_file(sys.argv[1]))
+except InternalError as err:
+    print(err)
+else:
+    sys.exit(1)
+
+euler = ode.euler_form
+ode.euler_form = lambda p: euler(p).scale(Fraction(2))
+try:
+    ode.bernstein_polynomial(ABElement.a() ** 2 + ABElement.b() ** 2)
+except InternalError as err:
+    print(err)
+else:
+    sys.exit(1)
+"""
+
+
+def test_invariant_checks_raise_under_python_O():
+    for flags in ((), ("-O",)):
+        proc = run_python(*flags, "-c", _BROKEN_INVARIANTS, str(SPEC_DIR / "e2.json"))
+        assert proc.returncode == 0, proc.stderr
+        assert "ρ does not solve" in proc.stdout
+        assert "not monic of degree 2" in proc.stdout

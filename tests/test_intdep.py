@@ -1,17 +1,20 @@
+import dataclasses
+import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import FAMILY_ALPHAS
+from conftest import FAMILY_ALPHAS, random_spec
 from gaussmanin import analyze, cyclic_symmetric_spec
 from gaussmanin.intdep import (
     DependenceRelation,
-    LinearForms,
     dependence_relation,
     linear_forms,
     verify_identity,
 )
-from gaussmanin.scalars import LaurentLambda
+from gaussmanin.scalars import LaurentLambda, mat_det
 
 
 def test_linear_forms_e2(e2):
@@ -106,10 +109,139 @@ def test_relation_json_roundtrip(e2):
 
 
 def test_verify_identity_random_specs():
-    import random
-    from conftest import random_spec
-
     rng = random.Random(77)
     for _ in range(3):
         spec = random_spec(rng, max_vars=3, max_entry=5, max_weight=12)
         assert verify_identity(dependence_relation(spec))
+
+
+# ---------------------------------------------------------------------------
+# Oracles: the expansion over exponent-tuple keys and the x-space check over
+# (λ-exponent, x-tuple) keys with rational coefficients, as they stood before
+# both moved onto packed integer keys
+# ---------------------------------------------------------------------------
+
+def _oracle_relation(spec) -> DependenceRelation:
+    rel = analyze(spec)
+    n, mono = spec.n_vars, spec.n_monomials
+    det = mat_det(spec.mtilde())
+    rows = [[int(rel.mtilde_inv[j][k] * det) for k in range(mono)] for j in range(mono)]
+
+    def product(vec):
+        poly = {(0,) * (n + 1): 1}
+        for j in range(mono):
+            for _ in range(vec[j]):
+                out = {}
+                for exps, c in poly.items():
+                    for v, fc in enumerate(rows[j]):
+                        if fc:
+                            key = exps[:v] + (exps[v] + 1,) + exps[v + 1:]
+                            out[key] = out.get(key, 0) + c * fc
+                poly = {k: c for k, c in out.items() if c}
+        return poly
+
+    dh, d = rel.d + rel.h, rel.d
+    kappa_dh = Fraction(1)
+    for j in range(mono):
+        kappa_dh *= rel.eta[j] ** rel.Delta[j]
+    coeffs = [{} for _ in range(dh + 1)]
+    for exps, c in product(rel.Delta).items():
+        coeffs[exps[0]][exps[1:]] = LaurentLambda.const(c / (det ** dh * kappa_dh))
+    lam = LaurentLambda.monomial(rel.r)
+    for exps, c in product(rel.delta).items():
+        k, e = exps[0], exps[1:]
+        cur = coeffs[k].get(e, LaurentLambda.const(0)) - lam * (c / (det ** d * kappa_dh))
+        if cur:
+            coeffs[k][e] = cur
+        else:
+            coeffs[k].pop(e, None)
+    return DependenceRelation(spec=spec, degree=dh, r=rel.r, coefficients=tuple(coeffs))
+
+
+def _x_mul(p, q):
+    out = {}
+    for (l1, e1), c1 in p.items():
+        for (l2, e2), c2 in q.items():
+            key = (l1 + l2, tuple(a + b for a, b in zip(e1, e2)))
+            out[key] = out.get(key, 0) + c1 * c2
+    return {k: v for k, v in out.items() if v}
+
+
+def _x_add_scaled(p, q, c: LaurentLambda):
+    out = dict(p)
+    for le, v in c.coeffs.items():
+        for (l2, e2), c2 in q.items():
+            key = (le + l2, e2)
+            out[key] = out.get(key, 0) + v * c2
+    return {k: v for k, v in out.items() if v}
+
+
+def _oracle_verify(relation: DependenceRelation) -> bool:
+    spec = relation.spec
+    n = spec.n_vars
+    cols = [(0, m) for m in spec.monomials] + [(1, spec.lambda_monomial)]
+    f = {key: Fraction(1) for key in cols}
+    us = [{key: Fraction(key[1][i]) for key in cols if key[1][i]} for i in range(n)]
+    one = {(0, (0,) * n): Fraction(1)}
+    powers = []
+    for i in range(n):
+        tab = [one]
+        for _ in range(max((e[i] for c in relation.coefficients for e in c), default=0)):
+            tab.append(_x_mul(tab[-1], us[i]))
+        powers.append(tab)
+    acc = {}
+    for k in range(relation.degree, -1, -1):
+        acc = _x_mul(acc, f)
+        for e, c in relation.coefficients[k].items():
+            mono = one
+            for i in range(n):
+                if e[i]:
+                    mono = _x_mul(mono, powers[i][e[i]])
+            acc = _x_add_scaled(acc, mono, c)
+    return not acc
+
+
+def _perturbed(relation: DependenceRelation, k: int, e, delta: LaurentLambda):
+    """relation with delta added to the coefficient of f^k·u^e."""
+    coeffs = [dict(c) for c in relation.coefficients]
+    cur = coeffs[k].get(e, LaurentLambda.const(0)) + delta
+    if cur:
+        coeffs[k][e] = cur
+    else:
+        coeffs[k].pop(e, None)
+    return dataclasses.replace(relation, coefficients=tuple(coeffs))
+
+
+def _perturbations(relation: DependenceRelation):
+    """The λ^r part of one coefficient plus 1/7, and the constant term of
+    f^(d+h-1) plus 1."""
+    k, e = next((k, e) for k, coeff in enumerate(relation.coefficients)
+                for e, c in coeff.items() if relation.r in c.coeffs)
+    zero = (0,) * relation.spec.n_vars
+    return [_perturbed(relation, k, e, LaurentLambda.monomial(relation.r, Fraction(1, 7))),
+            _perturbed(relation, relation.degree - 1, zero, LaurentLambda.const(1))]
+
+
+@pytest.mark.parametrize("name", ["e2", "e3", "e4"])
+def test_verify_identity_rejects_a_perturbed_relation(request, name):
+    relation = dependence_relation(request.getfixturevalue(name))
+    for wrong in _perturbations(relation):
+        assert not verify_identity(wrong)
+        assert not _oracle_verify(wrong)
+
+
+@pytest.mark.parametrize("name", ["e2", "e3", "e4", "quintic"])
+def test_packed_expansion_matches_the_tuple_oracle(request, name):
+    spec = request.getfixturevalue(name)
+    assert dependence_relation(spec).coefficients == _oracle_relation(spec).coefficients
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(0, 2 ** 32))
+def test_packed_expansion_and_check_match_the_oracles_on_random_specs(seed):
+    spec = random_spec(random.Random(seed), max_vars=3, max_entry=5, max_weight=10)
+    relation = dependence_relation(spec)
+    assert relation.coefficients == _oracle_relation(spec).coefficients
+    for candidate in [relation, *_perturbations(relation)]:
+        assert verify_identity(candidate) == _oracle_verify(candidate)
+
