@@ -20,6 +20,7 @@ from functools import lru_cache
 
 from .abalgebra import ABElement, HomogChain
 from .errors import GammaTouchesH, InternalError, MalformedSpec, QuasiHomogeneous
+from .ode import euler_form
 from .scalars import LaurentLambda, UniPoly, mat_inverse, mat_rank, mat_solve
 
 
@@ -407,6 +408,20 @@ class GMOperator:
         )
 
 
+def _euler_product(chain: HomogChain) -> UniPoly:
+    """The Euler polynomial of chain.expand()/κ, κ = Π_j η_j, as the product
+    Π_j (η_j·(θ + q - j + 1) + θ_j)/κ over the factors, leftmost first: b^{-1}·a
+    is θ + 1, shifted by the q - j factors to the right of factor j.  Each factor
+    is cleared to integers, so monic() is the one rational step."""
+    q = chain.degree
+    out = UniPoly.const(1)
+    for j, (eta, theta) in enumerate(chain.factors, 1):
+        scale = math.lcm(eta.denominator, theta.denominator)
+        eta, theta = int(eta * scale), int(theta * scale)
+        out = out * UniPoly((eta * (q - j + 1) + theta, eta))
+    return out.monic()
+
+
 def build_operator(spec: PolySpec) -> GMOperator:
     """Construct the Gauss-Manin operator for the spec."""
     rel = analyze(spec)
@@ -417,12 +432,10 @@ def build_operator(spec: PolySpec) -> GMOperator:
     c = kappa_d / kappa_dh
     if c != rel.c:
         raise InternalError("chain normalization disagrees with the closed-form c")
-    # the class mod b must collapse to a^{d+h} - c·λ^r·a^d; r != 0, so the
-    # λ^r part cannot cancel against the λ-free part and each side is checked
-    if P_dh.mod_b() != UniPoly.x_power(rel.d + rel.h):
-        raise InternalError(f"P_{rel.d + rel.h} is not a^{rel.d + rel.h} mod b")
-    if P_d.mod_b() != UniPoly.x_power(rel.d):
-        raise InternalError(f"P_{rel.d} is not a^{rel.d} mod b")
+    # reads every b-term; the θ^q coefficient pins the class mod b to a^q
+    for chain, p in ((chain_dh, P_dh), (chain_d, P_d)):
+        if euler_form(p).to_rational() != _euler_product(chain):
+            raise InternalError(f"P_{chain.degree} is not the Euler product of its chain")
     return GMOperator(spec=spec, rel=rel, P_dh=P_dh, P_d=P_d, c=c, r=rel.r,
                       chain_dh=chain_dh, chain_d=chain_d)
 

@@ -10,12 +10,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb
+from typing import TYPE_CHECKING
 
 from .abalgebra import ABElement, require_homogeneous
-from .engine import GMOperator
 from .errors import InternalError, NotMonic
 from .scalars import LaurentLambda, UniPoly, as_laurent
+
+if TYPE_CHECKING:   # engine imports euler_form for its certificate
+    from .engine import GMOperator
 
 #: Euler polynomials are UniPoly values in θ over LaurentLambda, the
 #: coefficient type of the ODE they feed.
@@ -24,9 +26,9 @@ EulerPoly = UniPoly
 
 def _falling_basis(max_len: int) -> list[UniPoly]:
     """F_i(θ) = (θ+1)···(θ+i) for i = 0..max_len."""
-    out = [UniPoly.const(Fraction(1))]
+    out = [UniPoly.const(1)]   # integer coefficients: cheaper than Fraction
     for i in range(1, max_len + 1):
-        out.append(out[-1] * UniPoly((Fraction(i), Fraction(1))))
+        out.append(out[-1] * UniPoly((i, 1)))
     return out
 
 
@@ -103,18 +105,6 @@ class DiffOp:
         parts = tuple(sorted((k, p) for k, p in mapping.items() if not p.is_zero()))
         return cls(parts)
 
-    @classmethod
-    def zero(cls) -> "DiffOp":
-        return cls(())
-
-    @classmethod
-    def s_poly(cls, p: UniPoly) -> "DiffOp":
-        return cls.build({0: p})
-
-    @classmethod
-    def derivative_power(cls, k: int) -> "DiffOp":
-        return cls.build({k: UniPoly.const(Fraction(1))})
-
     @property
     def order(self) -> int:
         return self.parts[-1][0] if self.parts else -1
@@ -138,27 +128,21 @@ class DiffOp:
         return self + (-other)
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction, LaurentLambda)):
-            c = as_laurent(other)
-            return DiffOp.build({k: p.map_coeffs(lambda x: x * c) for k, p in self.parts})
-        if not isinstance(other, DiffOp):
+        if not isinstance(other, (int, Fraction, LaurentLambda)):
             return NotImplemented
+        c = as_laurent(other)
+        return DiffOp.build({k: p.map_coeffs(lambda x: x * c) for k, p in self.parts})
+
+    def times_theta(self) -> "DiffOp":
+        """self·θ by (Σ p_k·D^k)·s·D = Σ (s·p_k·D^{k+1} + k·p_k·D^k)."""
+        s = UniPoly((Fraction(0), Fraction(1)))
+        one = UniPoly.const(Fraction(1))
         out: dict[int, UniPoly] = {}
         for k, p in self.parts:
-            for l, q in other.parts:
-                # D^k·q(s) = Σ_t C(k,t)·q^{(t)}(s)·D^{k-t}
-                deriv = q
-                for t in range(k + 1):
-                    if deriv.is_zero():
-                        break
-                    coef = comb(k, t)
-                    term = p * deriv * coef
-                    key = k - t + l
-                    out[key] = out.get(key, UniPoly()) + term
-                    deriv = deriv.derivative()
+            out[k + 1] = p * s
+            if k:   # p·1 turns zero coefficients into int 0, which JSON writes as "0"
+                out[k] = out.get(k, UniPoly()) + p * one * k
         return DiffOp.build(out)
-
-    __rmul__ = __mul__
 
     def __eq__(self, other):
         if not isinstance(other, DiffOp):
@@ -188,23 +172,24 @@ class DiffOp:
 
 
 def euler_to_diffop(e: EulerPoly) -> DiffOp:
-    """Substitute θ = s·D and normal-order."""
-    theta = DiffOp.build({1: UniPoly((Fraction(0), Fraction(1)))})
-    out = DiffOp.zero()
+    """Substitute θ = s·D and normal-order, by Horner's rule in θ."""
+    out = DiffOp(())
     for c in reversed(e.coeffs):
-        out = out * theta + DiffOp.s_poly(UniPoly.const(c))
+        out = out.times_theta() + DiffOp.build({0: UniPoly.const(c)})
     return out
 
 
 def to_differential_operator(g: GMOperator) -> DiffOp:
-    """b^{-(d+h)}·P as a classical operator: B_{d+h}(θ) - c·λ^r·D^h·B_d(θ).
+    """b^{-(d+h)}·P as a classical operator: B_{d+h}(θ) - c·λ^r·D^h·B_d(θ),
+    where D^h·B_d(θ) = B_d(θ+h)·D^h.
 
     The result has order d+h and its top coefficient is s^{d+h} - c·λ^r·s^d.
     """
     e_dh = euler_form(g.P_dh)
     e_d = euler_form(g.P_d)
     lead = euler_to_diffop(e_dh)
-    tail = DiffOp.derivative_power(g.h) * euler_to_diffop(e_d)
+    shifted = euler_to_diffop(e_d.compose(UniPoly((Fraction(g.h), Fraction(1)))))
+    tail = DiffOp(tuple((k + g.h, p) for k, p in shifted.parts))
     out = lead - tail * g.lambda_part()
     top = out.coefficient(g.d + g.h)
     expect = UniPoly.x_power(g.d + g.h, as_laurent(1)) - \

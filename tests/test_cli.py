@@ -261,7 +261,7 @@ def test_selftest(capsys):
 # the a·b^k rule with 1 added to the t = 1 coefficient
 _WRONG_PRODUCT_RULE = """
 import inspect, sys, textwrap
-from gaussmanin import abalgebra, selftest
+from gaussmanin import abalgebra, cli, selftest
 src = textwrap.dedent(inspect.getsource(abalgebra.ABElement.__mul__))
 rule = "add = c * (comb(i1, t) * rising)"
 if rule not in src:
@@ -269,14 +269,22 @@ if rule not in src:
 ns = {}
 exec(src.replace(rule, "add = c * (comb(i1, t) * rising + (t == 1))"), vars(abalgebra), ns)
 abalgebra.ABElement.__mul__ = ns["__mul__"]
-sys.exit(selftest.run())
 """
 
 
 def test_selftest_fails_under_python_O_on_a_wrong_product_rule():
-    proc = run_python("-O", "-c", _WRONG_PRODUCT_RULE)
+    proc = run_python("-O", "-c", _WRONG_PRODUCT_RULE + "sys.exit(selftest.run())")
     assert proc.returncode == 1
     assert "FAIL  commutators" in proc.stdout
+
+
+def test_euler_product_certificate_catches_a_wrong_product_rule():
+    script = _WRONG_PRODUCT_RULE + "sys.exit(cli.main(sys.argv[1:]))"
+    for flags in ((), ("-O",)):
+        proc = run_python(*flags, "-c", script, "operator", str(SPEC_DIR / "e2.json"))
+        assert proc.returncode == 1 and proc.stdout == ""
+        assert proc.stderr.count("\n") == 1
+        assert proc.stderr.startswith("internal error: P_6 is not the Euler product")
 
 
 def test_factor_when_every_table_prime_divides_the_leading_coefficient(tmp_path):

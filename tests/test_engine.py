@@ -160,7 +160,8 @@ def test_build_operator_checks_c_against_the_closed_form(e2, monkeypatch):
 
 
 def test_build_operator_checks_the_class_mod_b(e2, monkeypatch):
-    # doubling η of the leftmost factor keeps c but breaks P_6 ≡ a^6 mod b
+    # doubling η of the leftmost factor keeps c but breaks P_6 ≡ a^6 mod b,
+    # the θ^6 coefficient of the Euler-product certificate
     real = engine.monomial_chain
 
     def perturbed(spec, gamma):
@@ -169,7 +170,7 @@ def test_build_operator_checks_the_class_mod_b(e2, monkeypatch):
         return HomogChain(((2 * eta, theta), *rest)), kappa
 
     monkeypatch.setattr(engine, "monomial_chain", perturbed)
-    with pytest.raises(InternalError, match="mod b"):
+    with pytest.raises(InternalError, match="P_6 is not the Euler product"):
         build_operator(e2)
 
 
@@ -340,3 +341,12 @@ def test_invariant_checks_raise_under_python_O():
         assert proc.returncode == 0, proc.stderr
         assert "ρ does not solve" in proc.stdout
         assert "not monic of degree 2" in proc.stdout
+
+
+def test_euler_product_certificate_reads_the_b_terms(monkeypatch, e2):
+    # one b-term keeps the class mod b, so only a check that reads b-terms sees it
+    expand = HomogChain.expand
+    monkeypatch.setattr(HomogChain, "expand", lambda chain: expand(chain) + ABElement(
+        {(1, chain.degree - 1): Fraction(1)}))
+    with pytest.raises(InternalError, match="P_6 is not the Euler product"):
+        build_operator(e2)

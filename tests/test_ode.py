@@ -1,7 +1,10 @@
 import random
 from fractions import Fraction
+from math import comb, perm
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import random_monic_chain, random_spec
 from gaussmanin import build_operator, cyclic_symmetric_spec
@@ -17,7 +20,7 @@ from gaussmanin.ode import (
     singular_values,
     to_differential_operator,
 )
-from gaussmanin.scalars import LaurentLambda, UniPoly, rational_roots
+from gaussmanin.scalars import LaurentLambda, UniPoly, as_laurent, rational_roots
 
 A = ABElement.a()
 B = ABElement.b()
@@ -113,10 +116,73 @@ def test_bernstein_requires_monic_homogeneous():
         bernstein_polynomial(B * A - B * B)  # a-degree below full degree
 
 
+def _leibniz_product(x: DiffOp, y: DiffOp) -> DiffOp:
+    """The general product x·y by Leibniz's rule, the export's former path."""
+    out: dict[int, UniPoly] = {}
+    for k, p in x.parts:
+        for l, q in y.parts:
+            # D^k·q(s) = Σ_t C(k,t)·q^{(t)}(s)·D^{k-t}
+            deriv = q
+            for t in range(k + 1):
+                if deriv.is_zero():
+                    break
+                term = p * deriv * comb(k, t)
+                key = k - t + l
+                out[key] = out.get(key, UniPoly()) + term
+                deriv = deriv.derivative()
+    return DiffOp.build(out)
+
+
+S = UniPoly((Fraction(0), Fraction(1)))
+THETA = DiffOp.build({1: S})
+
+
+def _d_power(h: int) -> DiffOp:
+    return DiffOp.build({h: UniPoly.const(Fraction(1))})
+
+
+def _oracle_euler_to_diffop(e: UniPoly) -> DiffOp:
+    out = DiffOp(())
+    for c in reversed(e.coeffs):
+        out = _leibniz_product(out, THETA) + DiffOp.build({0: UniPoly.const(c)})
+    return out
+
+
 def test_diffop_leibniz():
-    d = DiffOp.derivative_power(1)
-    s = DiffOp.s_poly(UniPoly((Fraction(0), Fraction(1))))
-    assert d * s == s * d + DiffOp.s_poly(UniPoly.const(Fraction(1)))
+    s = DiffOp.build({0: S})
+    one = DiffOp.build({0: UniPoly.const(Fraction(1))})
+    assert _leibniz_product(_d_power(1), s) == _leibniz_product(s, _d_power(1)) + one
+
+
+# every kind of zero the export meets: the JSON writes int and Fraction zeros
+# as "0" and an empty LaurentLambda as [], so the θ-step must keep each kind
+_coefficients = st.one_of(
+    st.sampled_from((0, Fraction(0), LaurentLambda())),
+    st.builds(lambda e, n, m: LaurentLambda.monomial(e, Fraction(n, m)),
+              st.integers(-3, 3), st.integers(-9, 9), st.integers(1, 4)))
+_polys = st.lists(_coefficients, max_size=6).map(UniPoly)
+_diffops = st.dictionaries(st.integers(0, 6), _polys, max_size=5).map(DiffOp.build)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_diffops)
+def test_theta_step_matches_the_general_product_byte_for_byte(op):
+    assert op.times_theta().to_json() == _leibniz_product(op, THETA).to_json()
+
+
+@settings(max_examples=100, deadline=None)
+@given(_polys)
+def test_euler_to_diffop_matches_the_general_product_byte_for_byte(e):
+    assert euler_to_diffop(e).to_json() == _oracle_euler_to_diffop(e).to_json()
+
+
+@settings(max_examples=100, deadline=None)
+@given(_polys, st.integers(0, 6))
+def test_d_power_commutes_past_euler_polynomial_by_shifting_theta(e, h):
+    # D^h·E(θ) = E(θ+h)·D^h
+    shifted = euler_to_diffop(e.compose(UniPoly((Fraction(h), Fraction(1)))))
+    rhs = DiffOp(tuple((k + h, p) for k, p in shifted.parts))
+    assert _leibniz_product(_d_power(h), euler_to_diffop(e)) == rhs
 
 
 def test_euler_to_diffop():
@@ -178,3 +244,36 @@ def test_diffop_json_and_str(e2):
     assert DiffOp.from_json(diff.to_json()) == diff
     text = str(diff)
     assert "D^6" in text and "s^6" in text
+
+
+def _ode_oracle(g) -> dict:
+    """b^{-(d+h)}·P term by term: c·b^k·a^i is c·D^m·s^i with m = d+h-k, and
+    D^m·s^i = Σ_t C(m,t)·i!/(i-t)!·s^{i-t}·D^{m-t}.  Maps (order, s-power)
+    to the nonzero coefficients."""
+    out = {}
+    for part, scale in ((g.P_dh, LaurentLambda.const(1)), (g.P_d, -g.lambda_part())):
+        for (k, i), c in part.terms.items():
+            m = g.d + g.h - k
+            for t in range(min(m, i) + 1):
+                key = (m - t, i - t)
+                out[key] = out.get(key, LaurentLambda()) + scale * (c * comb(m, t) * perm(i, t))
+    return {key: v for key, v in out.items() if v}
+
+
+def _ode_values(diff: DiffOp) -> dict:
+    return {(k, i): as_laurent(c) for k, p in diff.parts
+            for i, c in enumerate(p.coeffs) if c != 0}
+
+
+@pytest.mark.parametrize("name", ["e2", "e3", "e4", "quintic", "e61"])
+def test_ode_matches_the_term_by_term_oracle(request, name):
+    op = build_operator(request.getfixturevalue(name))
+    assert _ode_values(to_differential_operator(op)) == _ode_oracle(op)
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(0, 2 ** 32))
+def test_ode_matches_the_term_by_term_oracle_on_random_specs(seed):
+    op = build_operator(random_spec(random.Random(seed), max_vars=3, max_entry=5,
+                                    max_weight=24))
+    assert _ode_values(to_differential_operator(op)) == _ode_oracle(op)
