@@ -3,16 +3,17 @@
 Elements are kept in "b-left" normal form, sum of c_{k,i}·b^k·a^i, so
 b-adic truncation and initial forms read directly off the representation.
 All products reduce with the single rewrite a·b^k = b^k·a + k·b^(k+1),
-equivalently a·c(b) = c(b)·a + b²·c'(b) for a coefficient series c.
+equivalently a·c(b) = c(b)·a + b²·c'(b) for a coefficient series c, on
+integer numerators in `_mul_int`.
 
 Elements are immutable; every operation is pure.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb
 
 from .errors import (
     MalformedSpec,
@@ -32,6 +33,35 @@ def _min_trunc(t1: int | None, t2: int | None) -> int | None:
     if t2 is None:
         return t1
     return min(t1, t2)
+
+
+def _mul_int(x: dict, y: dict, trunc: int | None) -> dict:
+    """x·y for maps (b_power, a_power) -> int, dropping b-powers >= trunc.
+
+    The one rewrite a·b^k = b^k·a + k·b^(k+1) gives
+    b^k1·a^i1 · b^k2·a^i2 = Σ_t C(i1,t)·k2(k2+1)···(k2+t-1)·b^(k1+k2+t)·a^(i1+i2-t),
+    whose t-th weight w is the (t-1)-th times (i1-t+1)·(k2+t-1)/t.
+    """
+    out: dict[tuple[int, int], int] = {}
+    get = out.get
+    for (k1, i1), c1 in x.items():
+        for (k2, i2), c2 in y.items():
+            k, i, c = k1 + k2, i1 + i2, c1 * c2
+            top = i1 if k2 else 0   # b^0 commutes with a
+            if trunc is not None:
+                top = min(top, trunc - 1 - k)
+            w = 1
+            for t in range(top + 1):
+                if t:
+                    w = w * (i1 - t + 1) * (k2 + t - 1) // t
+                key = (k + t, i - t)
+                out[key] = get(key, 0) + c * w
+    return out
+
+
+def _from_numerators(num: dict, den: int, trunc: int | None) -> "ABElement":
+    """The element with terms num/den, zero numerators dropped."""
+    return ABElement._make({key: Fraction(n, den) for key, n in num.items() if n}, trunc)
 
 
 class ABElement:
@@ -142,9 +172,15 @@ class ABElement:
         col = self.a_coefficient(d)
         return set(col) == {0} and col[0] == 1
 
+    def numerators(self) -> tuple[dict[tuple[int, int], int], int]:
+        """(num, den) with terms = num/den, den the lcm of the denominators."""
+        den = math.lcm(*(c.denominator for c in self.terms.values()))
+        return {key: c.numerator * (den // c.denominator) for key, c in self.terms.items()}, den
+
     # -- ring operations ---------------------------------------------------------
 
-    def _make(self, terms, trunc) -> "ABElement":
+    @staticmethod
+    def _make(terms, trunc) -> "ABElement":
         e = ABElement.__new__(ABElement)
         e.terms = terms
         e.trunc = trunc
@@ -182,28 +218,8 @@ class ABElement:
         if not isinstance(other, ABElement):
             return NotImplemented
         trunc = _min_trunc(self.trunc, other.trunc)
-        out: dict[tuple[int, int], Fraction] = {}
-        for (k1, i1), c1 in self.terms.items():
-            for (k2, i2), c2 in other.terms.items():
-                c = c1 * c2
-                # b^k1 a^i1 · b^k2 a^i2:
-                # a^i1·b^k2 = sum_t C(i1,t)·k2·(k2+1)···(k2+t-1)·b^(k2+t)·a^(i1-t)
-                rising = 1
-                for t in range(i1 + 1):
-                    if t:
-                        rising *= k2 + t - 1
-                        if rising == 0:
-                            break
-                    k = k1 + k2 + t
-                    if trunc is not None and k >= trunc:
-                        break
-                    key = (k, i1 + i2 - t)
-                    add = c * (comb(i1, t) * rising)
-                    s = out.get(key)
-                    s = add if s is None else s + add
-                    out[key] = s
-        out = {key: c for key, c in out.items() if c}
-        return self._make(out, trunc)
+        (x, dx), (y, dy) = self.numerators(), other.numerators()
+        return _from_numerators(_mul_int(x, y, trunc), dx * dy, trunc)
 
     def __rmul__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -405,12 +421,14 @@ class HomogChain:
         return out
 
     def expand(self) -> ABElement:
-        # Multiply from the left: a·b^k = b^k·a + k·b^(k+1), so a degree-1
-        # factor meets each term once and a step is linear in the term count.
-        out = ABElement.one()
+        # From the left over Z, so a step is linear in the term count; each factor
+        # is cleared by lcm(den η, den θ), and their product divides once at the end.
+        out, den = {(0, 0): 1}, 1
         for eta, theta in reversed(self.factors):
-            out = ABElement.linear(eta, theta) * out
-        return out
+            factor, scale = ABElement.linear(eta, theta).numerators()
+            out = _mul_int(factor, out, None)
+            den *= scale
+        return _from_numerators(out, den, None)
 
     def to_json(self) -> list:
         return [[str(e), str(t)] for e, t in self.factors]

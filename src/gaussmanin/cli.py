@@ -16,7 +16,7 @@ from fractions import Fraction
 from pathlib import Path
 
 from . import selftest as selftest_mod
-from .engine import PolySpec, analyze, build_operator, load_spec_file
+from .engine import PolySpec, analyze, build_operator, load_spec_file, weights
 from .errors import GaussManinError, PreconditionError
 from .factor import regular_quotient_pipeline
 from .intdep import dependence_relation, factored_relation_str, verify_identity
@@ -84,10 +84,10 @@ def _load_spec(path, mu: str | None = None) -> PolySpec:
     spec = load_spec_file(path)
     if mu is not None:
         spec = spec.with_mu(_parse_mu(mu, spec.n_vars))
-    rel = analyze(spec)
-    if rel.d + rel.h > MAX_ORDER:
+    w = weights(spec)   # d+h without c, which grows with it
+    if w["d"] + w["h"] > MAX_ORDER:
         raise PreconditionError(
-            f"{path}: d+h = {rel.d + rel.h} exceeds the supported maximum {MAX_ORDER}")
+            f"{path}: d+h = {w['d'] + w['h']} exceeds the supported maximum {MAX_ORDER}")
     return spec
 
 

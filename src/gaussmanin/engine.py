@@ -215,9 +215,9 @@ def analyze(spec: PolySpec) -> RelationData:
     return _analyze_columns(spec.monomials, spec.lambda_monomial)
 
 
-@lru_cache(maxsize=None)
-def _analyze_columns(monomials, lambda_monomial) -> RelationData:
-    spec = PolySpec(monomials, lambda_monomial, (0,) * len(lambda_monomial))
+def weights(spec: PolySpec) -> dict:
+    """The weight step of `analyze`: ρ, |r|, p, H, J±, Δ, δ, d, h and r.
+    It computes no matrix inverse and no c, so d+h can be read before them."""
     if not check_condition_C(spec):
         raise QuasiHomogeneous(f"f = {spec.poly_str()} is quasi-homogeneous")
     n = spec.n_vars
@@ -255,20 +255,25 @@ def _analyze_columns(monomials, lambda_monomial) -> RelationData:
     else:
         Delta, delta = tuple(vec_plus), tuple(vec_lambda)
     r = Delta[lam_idx] - delta[lam_idx]
+    return dict(rho=rho, r_abs=r_abs, r=r, p=p, H=H, J_plus=J_plus, J_minus=J_minus,
+                Delta=Delta, delta=delta, d=d, h=h)
 
+
+@lru_cache(maxsize=None)
+def _analyze_columns(monomials, lambda_monomial) -> RelationData:
+    spec = PolySpec(monomials, lambda_monomial, (0,) * len(lambda_monomial))
+    w = weights(spec)
+    Delta, delta = w["Delta"], w["delta"]
     inv = mat_inverse(spec.mtilde())
     eta = tuple(row[0] for row in inv)
     c = Fraction(1)
-    for j in range(mono):
+    for j in range(spec.n_monomials):
         if delta[j]:
             c *= eta[j] ** delta[j]
         if Delta[j]:
             c /= eta[j] ** Delta[j]
 
-    rel = RelationData(
-        rho=rho, r_abs=r_abs, r=r, p=p, H=H, J_plus=J_plus, J_minus=J_minus,
-        Delta=Delta, delta=delta, d=d, h=h, eta=eta, c=c,
-        mtilde_inv=tuple(tuple(row) for row in inv))
+    rel = RelationData(**w, eta=eta, c=c, mtilde_inv=tuple(tuple(row) for row in inv))
     _check_relation_invariants(spec, rel)
     return rel
 

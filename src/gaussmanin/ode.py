@@ -35,11 +35,12 @@ def _falling_basis(max_len: int) -> list[UniPoly]:
 def euler_form(p: ABElement) -> EulerPoly:
     """The polynomial E(θ) with b^{-q}·p = E(s·d/ds), q the degree of p."""
     q = require_homogeneous(p)
-    basis = _falling_basis(q)
-    out = UniPoly()
-    for (k, i), c in p.terms.items():
-        out = out + basis[i].scale(c)
-    return out.map_coeffs(as_laurent)
+    num, den = p.numerators()
+    col = {i: n for (_, i), n in num.items()}
+    out = UniPoly()   # Horner: E = c_0 + (θ+1)·(c_1 + (θ+2)·(c_2 + ···)) over Z
+    for i in range(q, -1, -1):
+        out = out * UniPoly((i + 1, 1)) + UniPoly.const(col.get(i, 0))
+    return UniPoly(as_laurent(Fraction(c, den)) for c in out.coeffs)
 
 
 def from_euler(e: EulerPoly, q: int) -> ABElement:
@@ -96,7 +97,7 @@ def element_from_bernstein(b: UniPoly, d: int) -> ABElement:
 @dataclass(frozen=True, eq=False)
 class DiffOp:
     """Normal form Σ p_k(s)·D^k with D = d/ds and D·s = s·D + 1 applied
-    exhaustively; p_k are polynomials in s over LaurentLambda."""
+    exhaustively; p_k are polynomials in s over LaurentLambda or Q."""
 
     parts: tuple[tuple[int, UniPoly], ...]   # (derivative order, coefficient)
 
@@ -185,9 +186,12 @@ def to_differential_operator(g: GMOperator) -> DiffOp:
 
     The result has order d+h and its top coefficient is s^{d+h} - c·λ^r·s^d.
     """
-    e_dh = euler_form(g.P_dh)
-    e_d = euler_form(g.P_d)
+    # Horner over Q; a Fraction(0) takes the paths of an empty LaurentLambda
+    e_dh = euler_form(g.P_dh).to_rational()
+    e_d = euler_form(g.P_d).to_rational()
     lead = euler_to_diffop(e_dh)
+    lead = DiffOp(tuple((k, p.map_coeffs(lambda c: c if isinstance(c, int) else as_laurent(c)))
+                        for k, p in lead.parts))
     shifted = euler_to_diffop(e_d.compose(UniPoly((Fraction(g.h), Fraction(1)))))
     tail = DiffOp(tuple((k + g.h, p) for k, p in shifted.parts))
     out = lead - tail * g.lambda_part()

@@ -1,6 +1,7 @@
 import dataclasses
 import random
 from fractions import Fraction
+from math import comb
 
 import pytest
 from hypothesis import given, settings
@@ -191,6 +192,78 @@ def test_chain_expand_matches_right_multiplication_on_specs(name, request):
     for gamma in (rel.Delta, rel.delta):
         chain, _ = monomial_chain(spec, gamma)
         assert chain.expand() == _right_multiplied(chain)
+
+
+def _fraction_product(x: ABElement, y: ABElement) -> ABElement:
+    """x·y term pair by term pair in Fraction arithmetic, the former __mul__."""
+    trunc = min((t for t in (x.trunc, y.trunc) if t is not None), default=None)
+    out: dict[tuple[int, int], Fraction] = {}
+    for (k1, i1), c1 in x.terms.items():
+        for (k2, i2), c2 in y.terms.items():
+            rising = 1
+            for t in range(i1 + 1):
+                if t:
+                    rising *= k2 + t - 1
+                    if rising == 0:
+                        break
+                k = k1 + k2 + t
+                if trunc is not None and k >= trunc:
+                    break
+                key = (k, i1 + i2 - t)
+                out[key] = out.get(key, Fraction(0)) + c1 * c2 * (comb(i1, t) * rising)
+    return ABElement(out, trunc)
+
+
+def _rational_left_multiplied(chain: HomogChain) -> ABElement:
+    """The chain product from the left, each step a Fraction product."""
+    out = ABElement.one()
+    for eta, theta in reversed(chain.factors):
+        out = _fraction_product(ABElement.linear(eta, theta), out)
+    return out
+
+
+def _same_element(x: ABElement, y: ABElement) -> bool:
+    """Equal, with every coefficient a normalized Fraction, so JSON bytes agree."""
+    return (x == y and hash(x) == hash(y) and x.to_json() == y.to_json()
+            and all(type(c) is Fraction for c in x.terms.values()))
+
+
+# mixed denominators, negative and zero coefficients
+_coefficients = st.one_of(st.just(Fraction(0)),
+                          st.fractions(min_value=-60, max_value=60, max_denominator=15))
+_elements = st.builds(
+    ABElement,
+    st.dictionaries(st.tuples(st.integers(0, 7), st.integers(0, 7)), _coefficients, max_size=8),
+    st.one_of(st.none(), st.integers(1, 9)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_elements, _elements)
+def test_product_matches_the_fraction_product(x, y):
+    assert _same_element(x * y, _fraction_product(x, y))
+
+
+def test_product_with_zero_and_cancelling_terms():
+    x = ABElement({(0, 1): Fraction(1, 3), (1, 0): Fraction(-2, 5)}, trunc=3)
+    assert _same_element(x * (x - x), _fraction_product(x, x - x))
+    # a·b - b·a - b^2 cancels to zero in every coefficient
+    assert (A * B - B * A - B * B).is_zero()
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(st.tuples(_small_fractions, _small_fractions), max_size=12))
+def test_chain_expand_matches_the_rational_left_product(factors):
+    chain = HomogChain(tuple(factors))
+    assert _same_element(chain.expand(), _rational_left_multiplied(chain))
+
+
+@pytest.mark.parametrize("name", ["e2", "e3", "e4", "quintic", "e61"])
+def test_chain_expand_matches_the_rational_left_product_on_specs(name, request):
+    spec = request.getfixturevalue(name)
+    rel = analyze(spec)
+    for gamma in (rel.Delta, rel.delta):
+        chain, _ = monomial_chain(spec, gamma)
+        assert _same_element(chain.expand(), _rational_left_multiplied(chain))
 
 
 def test_chain_keeps_only_its_factors():

@@ -228,6 +228,19 @@ def test_oversized_spec_exits_2(capsys, tmp_path):
     assert err.count("\n") == 1 and "d+h = 120400" in err
 
 
+def test_oversized_spec_is_refused_before_c(tmp_path):
+    # c of x^4000 + y^3999 + λ·x·y has powers of η with exponents near 1.6e7,
+    # so the cap must be read off the weights alone
+    big = tmp_path / "x4000.json"
+    big.write_text(json.dumps({"nvars": 2, "monomials": [[4000, 0], [0, 3999]],
+                               "lambda_monomial": [1, 1], "mu": [0, 0]}))
+    for cmd in ("analyze", "operator", "intdep"):
+        proc = run_python("-m", "gaussmanin.cli", cmd, str(big), timeout=10)
+        assert proc.returncode == 2 and proc.stdout == ""
+        assert proc.stderr == (f"error: {big}: d+h = 15996000 exceeds "
+                               f"the supported maximum 2000\n")
+
+
 def test_c_beyond_the_default_digit_limit_prints(capsys, tmp_path):
     # x^40 + y^49 + λ·x·y: d+h = 1960 is under the cap, but c has more
     # digits than Python's default int-to-str limit of 4300
@@ -262,13 +275,13 @@ def test_selftest(capsys):
 _WRONG_PRODUCT_RULE = """
 import inspect, sys, textwrap
 from gaussmanin import abalgebra, cli, selftest
-src = textwrap.dedent(inspect.getsource(abalgebra.ABElement.__mul__))
-rule = "add = c * (comb(i1, t) * rising)"
+src = textwrap.dedent(inspect.getsource(abalgebra._mul_int))
+rule = "out[key] = get(key, 0) + c * w"
 if rule not in src:
     sys.exit(3)
 ns = {}
-exec(src.replace(rule, "add = c * (comb(i1, t) * rising + (t == 1))"), vars(abalgebra), ns)
-abalgebra.ABElement.__mul__ = ns["__mul__"]
+exec(src.replace(rule, "out[key] = get(key, 0) + c * (w + (t == 1))"), vars(abalgebra), ns)
+abalgebra._mul_int = ns["_mul_int"]
 """
 
 
@@ -276,6 +289,9 @@ def test_selftest_fails_under_python_O_on_a_wrong_product_rule():
     proc = run_python("-O", "-c", _WRONG_PRODUCT_RULE + "sys.exit(selftest.run())")
     assert proc.returncode == 1
     assert "FAIL  commutators" in proc.stdout
+    # build_operator's InternalError is that suite's FAIL, and the run goes on
+    assert "FAIL  two-variable example end to end" in proc.stdout
+    assert proc.stdout.endswith("suite(s) failed\n") and proc.stderr == ""
 
 
 def test_euler_product_certificate_catches_a_wrong_product_rule():

@@ -45,6 +45,36 @@ def test_euler_form_chain_product():
     assert euler_form(p) == _theta_poly(0, 0, 1)   # θ^2
 
 
+def _fraction_euler_form(p: ABElement) -> UniPoly:
+    """Σ c·(θ+1)···(θ+i) over the terms c·b^k·a^i in Fraction arithmetic,
+    the former euler_form."""
+    out = UniPoly()
+    for (_, i), c in p.terms.items():
+        falling = UniPoly.const(Fraction(1))
+        for j in range(1, i + 1):
+            falling = falling * UniPoly((Fraction(j), Fraction(1)))
+        out = out + falling.scale(c)
+    return out.map_coeffs(as_laurent)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 9).flatmap(lambda q: st.dictionaries(
+    st.integers(0, q).map(lambda k: (k, q - k)),
+    st.fractions(min_value=-40, max_value=40, max_denominator=12), min_size=1)))
+def test_euler_form_matches_the_fraction_sum(terms):
+    p = ABElement(terms)
+    if p.is_zero():
+        return
+    assert euler_form(p).to_json() == _fraction_euler_form(p).to_json()
+
+
+@pytest.mark.parametrize("name", ["e2", "e3", "e4", "quintic", "e61"])
+def test_euler_form_matches_the_fraction_sum_on_specs(request, name):
+    op = build_operator(request.getfixturevalue(name))
+    for p in (op.P_dh, op.P_d):
+        assert euler_form(p).to_json() == _fraction_euler_form(p).to_json()
+
+
 def test_euler_form_requires_homogeneous():
     with pytest.raises(NotHomogeneous):
         euler_form(A ** 3 + B)
@@ -277,3 +307,27 @@ def test_ode_matches_the_term_by_term_oracle_on_random_specs(seed):
     op = build_operator(random_spec(random.Random(seed), max_vars=3, max_entry=5,
                                     max_weight=24))
     assert _ode_values(to_differential_operator(op)) == _ode_oracle(op)
+
+
+def _laurent_export(g) -> DiffOp:
+    """The ODE export with the Horner steps in LaurentLambda arithmetic, the
+    former to_differential_operator."""
+    lead = euler_to_diffop(euler_form(g.P_dh))
+    shifted = euler_to_diffop(euler_form(g.P_d).compose(UniPoly((Fraction(g.h), Fraction(1)))))
+    tail = DiffOp(tuple((k + g.h, p) for k, p in shifted.parts))
+    return lead - tail * g.lambda_part()
+
+
+# to_json, not ==: == does not see whether a zero is int 0 or an empty LaurentLambda
+@pytest.mark.parametrize("name", ["e2", "e3", "e4", "quintic"])
+def test_rational_horner_export_matches_the_laurent_one_byte_for_byte(request, name):
+    op = build_operator(request.getfixturevalue(name))
+    assert to_differential_operator(op).to_json() == _laurent_export(op).to_json()
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(0, 2 ** 32))
+def test_rational_horner_export_matches_the_laurent_one_on_random_specs(seed):
+    op = build_operator(random_spec(random.Random(seed), max_vars=3, max_entry=5,
+                                    max_weight=24))
+    assert to_differential_operator(op).to_json() == _laurent_export(op).to_json()
