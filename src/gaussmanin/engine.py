@@ -19,8 +19,8 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .abalgebra import ABElement, HomogChain
-from .errors import GammaTouchesH, InternalError, MalformedSpec, QuasiHomogeneous
-from .ode import euler_form
+from .errors import GammaTouchesH, InternalError, MalformedOperator, MalformedSpec, QuasiHomogeneous
+from .ode import euler_factors, euler_form
 from .scalars import LaurentLambda, UniPoly, mat_inverse, mat_rank, mat_solve
 
 
@@ -401,7 +401,7 @@ class GMOperator:
 
     @classmethod
     def from_json(cls, data) -> "GMOperator":
-        return cls(
+        return _certify_euler_products(cls(
             spec=PolySpec.from_json(data["spec"]),
             rel=RelationData.from_json(data["relation"]),
             P_dh=ABElement.from_json(data["P_dh"]),
@@ -410,21 +410,18 @@ class GMOperator:
             r=int(data["r"]),
             chain_dh=HomogChain.from_json(data["chain_dh"]),
             chain_d=HomogChain.from_json(data["chain_d"]),
-        )
+        ), MalformedOperator)
 
 
-def _euler_product(chain: HomogChain) -> UniPoly:
-    """The Euler polynomial of chain.expand()/κ, κ = Π_j η_j, as the product
-    Π_j (η_j·(θ + q - j + 1) + θ_j)/κ over the factors, leftmost first: b^{-1}·a
-    is θ + 1, shifted by the q - j factors to the right of factor j.  Each factor
-    is cleared to integers, so monic() is the one rational step."""
-    q = chain.degree
-    out = UniPoly.const(1)
-    for j, (eta, theta) in enumerate(chain.factors, 1):
-        scale = math.lcm(eta.denominator, theta.denominator)
-        eta, theta = int(eta * scale), int(theta * scale)
-        out = out * UniPoly((eta * (q - j + 1) + theta, eta))
-    return out.monic()
+def _certify_euler_products(op: GMOperator, error: type[Exception]) -> GMOperator:
+    """op, once P_dh and P_d are the monic products of their chains' Euler factors;
+    the check reads every b-term, and the θ^q coefficient pins the class mod b to a^q."""
+    for chain, p in ((op.chain_dh, op.P_dh), (op.chain_d, op.P_d)):
+        product = math.prod((UniPoly((t, e)) for e, t in euler_factors(chain)),
+                            start=UniPoly.const(1))
+        if p.is_zero() or not p.is_homogeneous() or euler_form(p) != product.monic():
+            raise error(f"P_{chain.degree} is not the Euler product of its chain")
+    return op
 
 
 def build_operator(spec: PolySpec) -> GMOperator:
@@ -437,12 +434,9 @@ def build_operator(spec: PolySpec) -> GMOperator:
     c = kappa_d / kappa_dh
     if c != rel.c:
         raise InternalError("chain normalization disagrees with the closed-form c")
-    # reads every b-term; the θ^q coefficient pins the class mod b to a^q
-    for chain, p in ((chain_dh, P_dh), (chain_d, P_d)):
-        if euler_form(p).to_rational() != _euler_product(chain):
-            raise InternalError(f"P_{chain.degree} is not the Euler product of its chain")
-    return GMOperator(spec=spec, rel=rel, P_dh=P_dh, P_d=P_d, c=c, r=rel.r,
-                      chain_dh=chain_dh, chain_d=chain_d)
+    return _certify_euler_products(
+        GMOperator(spec=spec, rel=rel, P_dh=P_dh, P_d=P_d, c=c, r=rel.r,
+                   chain_dh=chain_dh, chain_d=chain_d), InternalError)
 
 
 # ---------------------------------------------------------------------------

@@ -17,6 +17,10 @@ class MalformedSpec(PreconditionError):
     """Polynomial spec violates a structural invariant."""
 
 
+class MalformedOperator(MalformedSpec, ValueError):
+    """Operator JSON whose parts disagree; a ValueError too, as invalid JSON is."""
+
+
 class QuasiHomogeneous(PreconditionError):
     """The full exponent matrix is rank deficient: f is quasi-homogeneous."""
 

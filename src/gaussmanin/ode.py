@@ -8,19 +8,19 @@ b^{-q}·p = E(θ); a full operator becomes Σ p_k(s)·D^k with D·s = s·D + 1.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import TYPE_CHECKING
 
-from .abalgebra import ABElement, require_homogeneous
+from .abalgebra import ABElement, HomogChain, require_homogeneous
 from .errors import InternalError, NotMonic
 from .scalars import LaurentLambda, UniPoly, as_laurent
 
-if TYPE_CHECKING:   # engine imports euler_form for its certificate
+if TYPE_CHECKING:   # engine imports ode for its certificate
     from .engine import GMOperator
 
-#: Euler polynomials are UniPoly values in θ over LaurentLambda, the
-#: coefficient type of the ODE they feed.
+#: Euler polynomials are UniPoly values in θ over Q.
 EulerPoly = UniPoly
 
 
@@ -40,7 +40,7 @@ def euler_form(p: ABElement) -> EulerPoly:
     out = UniPoly()   # Horner: E = c_0 + (θ+1)·(c_1 + (θ+2)·(c_2 + ···)) over Z
     for i in range(q, -1, -1):
         out = out * UniPoly((i + 1, 1)) + UniPoly.const(col.get(i, 0))
-    return UniPoly(as_laurent(Fraction(c, den)) for c in out.coeffs)
+    return UniPoly(Fraction(c, den) for c in out.coeffs)
 
 
 def from_euler(e: EulerPoly, q: int) -> ABElement:
@@ -77,7 +77,7 @@ def bernstein_polynomial(q_elem: ABElement) -> UniPoly:
         b = -b
     if b.degree != d or b[d] != 1:
         raise InternalError(f"the Bernstein polynomial is not monic of degree {d}")
-    return b
+    return b.map_coeffs(lambda c: c if isinstance(c, int) else as_laurent(c))
 
 
 def element_from_bernstein(b: UniPoly, d: int) -> ABElement:
@@ -116,35 +116,6 @@ class DiffOp:
                 return p
         return UniPoly()
 
-    def __add__(self, other: "DiffOp") -> "DiffOp":
-        out = {k: p for k, p in self.parts}
-        for k, p in other.parts:
-            out[k] = out.get(k, UniPoly()) + p
-        return DiffOp.build(out)
-
-    def __neg__(self) -> "DiffOp":
-        return DiffOp(tuple((k, -p) for k, p in self.parts))
-
-    def __sub__(self, other: "DiffOp") -> "DiffOp":
-        return self + (-other)
-
-    def __mul__(self, other):
-        if not isinstance(other, (int, Fraction, LaurentLambda)):
-            return NotImplemented
-        c = as_laurent(other)
-        return DiffOp.build({k: p.map_coeffs(lambda x: x * c) for k, p in self.parts})
-
-    def times_theta(self) -> "DiffOp":
-        """self·θ by (Σ p_k·D^k)·s·D = Σ (s·p_k·D^{k+1} + k·p_k·D^k)."""
-        s = UniPoly((Fraction(0), Fraction(1)))
-        one = UniPoly.const(Fraction(1))
-        out: dict[int, UniPoly] = {}
-        for k, p in self.parts:
-            out[k + 1] = p * s
-            if k:   # p·1 turns zero coefficients into int 0, which JSON writes as "0"
-                out[k] = out.get(k, UniPoly()) + p * one * k
-        return DiffOp.build(out)
-
     def __eq__(self, other):
         if not isinstance(other, DiffOp):
             return NotImplemented
@@ -172,34 +143,60 @@ class DiffOp:
         return " + ".join(chunks)
 
 
-def euler_to_diffop(e: EulerPoly) -> DiffOp:
-    """Substitute θ = s·D and normal-order, by Horner's rule in θ."""
-    out = DiffOp(())
-    for c in reversed(e.coeffs):
-        out = out.times_theta() + DiffOp.build({0: UniPoly.const(c)})
+def euler_factors(chain: HomogChain, shift: int = 0) -> list[tuple[int, int]]:
+    """The chain's Euler factors at θ + shift as integer pairs (e_j, t_j) for
+    e_j·θ + t_j: factor j is η_j·(θ + q - j + 1) + θ_j cleared to integers, as
+    b^{-1}·a is θ + 1, shifted by the q - j factors to the right of factor j."""
+    q = chain.degree
+    out = []
+    for j, (eta, theta) in enumerate(chain.factors, 1):
+        scale = math.lcm(eta.denominator, theta.denominator)
+        e = int(eta * scale)
+        out.append((e, e * (q - j + 1 + shift) + int(theta * scale)))
     return out
 
 
-def to_differential_operator(g: GMOperator) -> DiffOp:
-    """b^{-(d+h)}·P as a classical operator: B_{d+h}(θ) - c·λ^r·D^h·B_d(θ),
-    where D^h·B_d(θ) = B_d(θ+h)·D^h.
+def euler_to_diffop(chain: HomogChain, shift: int = 0) -> list[int]:
+    """x with Π_j (e_j·θ + t_j) = Σ_k x_k·s^k·D^k over euler_factors(chain, shift):
+    x/x[-1] is the Euler polynomial in the basis s^k·D^k.  A factor maps x_k to
+    e·x_{k-1} + (e·k + t)·x_k, as s^k·D^k·θ = s^{k+1}·D^{k+1} + k·s^k·D^k."""
+    x = [1]
+    for e, t in euler_factors(chain, shift):
+        x.append(0)
+        for k in range(len(x) - 1, -1, -1):
+            x[k] = (e * x[k - 1] if k else 0) + (e * k + t) * x[k]
+    return x
 
-    The result has order d+h and its top coefficient is s^{d+h} - c·λ^r·s^d.
+
+def to_differential_operator(g: GMOperator) -> DiffOp:
+    """b^{-(d+h)}·P as a classical operator: E_{d+h}(θ) - c·λ^r·E_d(θ+h)·D^h
+    with θ = s·D, as D^h·E_d(θ) = E_d(θ+h)·D^h.  With α and β the s^k·D^k
+    vectors of E_{d+h}(θ) and E_d(θ+h), the coefficient of D^m is
+    α_m·s^m - c·λ^r·β_{m-h}·s^{m-h}; the top one is s^{d+h} - c·λ^r·s^d.
     """
-    # Horner over Q; a Fraction(0) takes the paths of an empty LaurentLambda
-    e_dh = euler_form(g.P_dh).to_rational()
-    e_d = euler_form(g.P_d).to_rational()
-    lead = euler_to_diffop(e_dh)
-    lead = DiffOp(tuple((k, p.map_coeffs(lambda c: c if isinstance(c, int) else as_laurent(c)))
-                        for k, p in lead.parts))
-    shifted = euler_to_diffop(e_d.compose(UniPoly((Fraction(g.h), Fraction(1)))))
-    tail = DiffOp(tuple((k + g.h, p) for k, p in shifted.parts))
-    out = lead - tail * g.lambda_part()
-    top = out.coefficient(g.d + g.h)
-    expect = UniPoly.x_power(g.d + g.h, as_laurent(1)) - \
-        UniPoly.x_power(g.d, g.lambda_part())
-    if top.map_coeffs(as_laurent) != expect:
-        raise InternalError(f"top coefficient is not s^{g.d + g.h} - c·λ^r·s^{g.d}")
+    d, h = g.d, g.h
+    alpha, beta = euler_to_diffop(g.chain_dh), euler_to_diffop(g.chain_d, h)
+    parts, empty = {}, LaurentLambda()
+    gamma = 0   # γ_m, the s^m·D^m entry of (E_{d+h}(θ) - E_{d+h}(0))/θ, scaled as α
+    for m in range(d + h, -1, -1):
+        a, b = alpha[m], beta[m - h] if m >= h else 0
+        gamma = a - m * gamma   # γ_{m-1}, from α_m = m·γ_m + γ_{m-1}
+        if not (a or b):
+            continue
+        # The JSON writes a zero as "0" (int 0) or [] (an empty LaurentLambda), as
+        # Horner's rule in θ leaves them: each zero below s^m is int 0, except
+        # s^{m-1}, which is [] when γ_{m-1} ≠ 0, and each zero below the tail term.
+        p = [0] * m + [LaurentLambda.const(Fraction(a, alpha[-1]))]
+        if m and gamma:
+            p[m - 1] = empty
+        if b:
+            p[:m - h + 1] = [empty] * (m - h) + [
+                LaurentLambda.monomial(g.r, -g.c * Fraction(b, beta[-1]))]
+        parts[m] = UniPoly(p)
+    out = DiffOp.build(parts)
+    expect = UniPoly.x_power(d + h, as_laurent(1)) - UniPoly.x_power(d, g.lambda_part())
+    if out.coefficient(d + h).map_coeffs(as_laurent) != expect:
+        raise InternalError(f"top coefficient is not s^{d + h} - c·λ^r·s^{d}")
     return out
 
 

@@ -37,6 +37,25 @@ def test_json_output_is_byte_identical_to_reference(capsys, monkeypatch, job):
     assert hashlib.sha256(out.encode()).hexdigest() == REFERENCE[job]
 
 
+# `ode --format json` stdout sha256 at h far beyond the shipped specs' h ≤ 15,
+# recorded from the Horner export in θ before the closed form
+LARGE_H_ODE = {
+    (14, 17): "6d46fec295abd96e0f87c567f6e14f7c353dd656b2a42e75237e75fe30076615",   # h = 207
+    (20, 23): "e037593d8e01d038ddec7d60e347a985974ac8d30b0b88070d0c81e3ce835cd7",   # h = 417
+}
+
+
+@pytest.mark.parametrize("a, b", sorted(LARGE_H_ODE))
+def test_ode_json_bytes_at_large_h(tmp_path, a, b):
+    spec = tmp_path / f"x{a}y{b}.json"
+    spec.write_text(json.dumps({"nvars": 2, "monomials": [[a, 0], [0, b]],
+                                "lambda_monomial": [1, 1], "mu": [0, 0]}))
+    proc = subprocess.run([sys.executable, "-m", "gaussmanin.cli", "ode", str(spec),
+                           "--format", "json"], capture_output=True, env=src_env(), timeout=30)
+    assert proc.returncode == 0, proc.stderr
+    assert hashlib.sha256(proc.stdout).hexdigest() == LARGE_H_ODE[a, b]
+
+
 def test_analyze_e61(capsys):
     code, out, _ = run_cli(capsys, "analyze", str(SPEC_DIR / "e61.json"))
     assert code == 0

@@ -1,4 +1,5 @@
 import dataclasses
+import json
 import random
 from fractions import Fraction
 
@@ -282,6 +283,23 @@ def test_operator_json_roundtrip(e2):
     assert back.chain_d.factors == op.chain_d.factors
 
 
+def test_operator_from_json_refuses_chains_that_disagree_with_P(e2):
+    # the ODE export reads the chains, so a chain that is not P's must not load
+    good = build_operator(e2).to_json()
+    data = json.loads(json.dumps(good))
+    eta, theta = data["chain_d"][2]
+    data["chain_d"][2] = [eta, str(Fraction(theta) + 1)]
+    with pytest.raises(MalformedSpec, match="P_5 is not the Euler product"):
+        GMOperator.from_json(data)
+    data = json.loads(json.dumps(good))   # a term of another degree, and then no term
+    data["P_dh"]["terms"].append({"b": 0, "a": 0, "c": [[0, "1"]]})
+    with pytest.raises(MalformedSpec, match="P_6 is not the Euler product"):
+        GMOperator.from_json(data)
+    data["P_dh"]["terms"] = []
+    with pytest.raises(MalformedSpec, match="P_6 is not the Euler product"):
+        GMOperator.from_json(data)
+
+
 def test_analyze_cached_and_shared_across_mu(e2):
     assert analyze(e2) is analyze(e2)
     assert analyze(e2.with_mu((3, 1))) is analyze(e2)
@@ -298,12 +316,12 @@ def test_e2_euler_polynomials_frozen(e2):
     expected_dh = UniPoly.const(Fraction(1))
     for k in range(1, 7):
         expected_dh = expected_dh * UniPoly((Fraction(k, 6), Fraction(1)))
-    assert euler_form(op.P_dh).to_rational() == expected_dh
+    assert euler_form(op.P_dh) == expected_dh
 
     expected_d = UniPoly((Fraction(0), Fraction(0), Fraction(1)))
     for root in (Fraction(1, 3), Fraction(2, 3), Fraction(1, 2)):
         expected_d = expected_d * UniPoly((-root, Fraction(1)))
-    assert euler_form(op.P_d).to_rational() == expected_d
+    assert euler_form(op.P_d) == expected_d
 
 
 # a perturbed ρ and a non-monic Euler polynomial each break an invariant

@@ -1,5 +1,7 @@
 import random
+from dataclasses import replace
 from fractions import Fraction
+from itertools import cycle
 from math import comb, perm
 
 import pytest
@@ -7,8 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import random_monic_chain, random_spec
-from gaussmanin import build_operator, cyclic_symmetric_spec
-from gaussmanin.abalgebra import ABElement
+from gaussmanin import PolySpec, build_operator, cyclic_symmetric_spec, engine
+from gaussmanin.abalgebra import ABElement, HomogChain
 from gaussmanin.errors import NotHomogeneous, NotMonic
 from gaussmanin.ode import (
     DiffOp,
@@ -54,7 +56,7 @@ def _fraction_euler_form(p: ABElement) -> UniPoly:
         for j in range(1, i + 1):
             falling = falling * UniPoly((Fraction(j), Fraction(1)))
         out = out + falling.scale(c)
-    return out.map_coeffs(as_laurent)
+    return out
 
 
 @settings(max_examples=200, deadline=None)
@@ -146,6 +148,49 @@ def test_bernstein_requires_monic_homogeneous():
         bernstein_polynomial(B * A - B * B)  # a-degree below full degree
 
 
+# DiffOp arithmetic and the θ-step of Horner's rule, the ODE export before the
+# closed form; they are the oracle for to_differential_operator and its zero types
+
+def _add(x: DiffOp, y: DiffOp) -> DiffOp:
+    out = dict(x.parts)
+    for k, p in y.parts:
+        out[k] = out.get(k, UniPoly()) + p
+    return DiffOp.build(out)
+
+
+def _neg(x: DiffOp) -> DiffOp:
+    return DiffOp(tuple((k, -p) for k, p in x.parts))
+
+
+def _sub(x: DiffOp, y: DiffOp) -> DiffOp:
+    return _add(x, _neg(y))
+
+
+def _scale(x: DiffOp, c) -> DiffOp:
+    c = as_laurent(c)
+    return DiffOp.build({k: p.map_coeffs(lambda v: v * c) for k, p in x.parts})
+
+
+def _times_theta(x: DiffOp) -> DiffOp:
+    """x·θ by (Σ p_k·D^k)·s·D = Σ (s·p_k·D^{k+1} + k·p_k·D^k)."""
+    s = UniPoly((Fraction(0), Fraction(1)))
+    one = UniPoly.const(Fraction(1))
+    out: dict[int, UniPoly] = {}
+    for k, p in x.parts:
+        out[k + 1] = p * s
+        if k:   # p·1 turns zero coefficients into int 0, which JSON writes as "0"
+            out[k] = out.get(k, UniPoly()) + p * one * k
+    return DiffOp.build(out)
+
+
+def _horner(e: UniPoly) -> DiffOp:
+    """Substitute θ = s·D into e and normal-order, by Horner's rule in θ."""
+    out = DiffOp(())
+    for c in reversed(e.coeffs):
+        out = _add(_times_theta(out), DiffOp.build({0: UniPoly.const(c)}))
+    return out
+
+
 def _leibniz_product(x: DiffOp, y: DiffOp) -> DiffOp:
     """The general product x·y by Leibniz's rule, the export's former path."""
     out: dict[int, UniPoly] = {}
@@ -174,14 +219,14 @@ def _d_power(h: int) -> DiffOp:
 def _oracle_euler_to_diffop(e: UniPoly) -> DiffOp:
     out = DiffOp(())
     for c in reversed(e.coeffs):
-        out = _leibniz_product(out, THETA) + DiffOp.build({0: UniPoly.const(c)})
+        out = _add(_leibniz_product(out, THETA), DiffOp.build({0: UniPoly.const(c)}))
     return out
 
 
 def test_diffop_leibniz():
     s = DiffOp.build({0: S})
     one = DiffOp.build({0: UniPoly.const(Fraction(1))})
-    assert _leibniz_product(_d_power(1), s) == _leibniz_product(s, _d_power(1)) + one
+    assert _leibniz_product(_d_power(1), s) == _add(_leibniz_product(s, _d_power(1)), one)
 
 
 # every kind of zero the export meets: the JSON writes int and Fraction zeros
@@ -197,31 +242,59 @@ _diffops = st.dictionaries(st.integers(0, 6), _polys, max_size=5).map(DiffOp.bui
 @settings(max_examples=200, deadline=None)
 @given(_diffops)
 def test_theta_step_matches_the_general_product_byte_for_byte(op):
-    assert op.times_theta().to_json() == _leibniz_product(op, THETA).to_json()
+    assert _times_theta(op).to_json() == _leibniz_product(op, THETA).to_json()
 
 
 @settings(max_examples=100, deadline=None)
 @given(_polys)
-def test_euler_to_diffop_matches_the_general_product_byte_for_byte(e):
-    assert euler_to_diffop(e).to_json() == _oracle_euler_to_diffop(e).to_json()
+def test_horner_matches_the_general_product_byte_for_byte(e):
+    assert _horner(e).to_json() == _oracle_euler_to_diffop(e).to_json()
 
 
 @settings(max_examples=100, deadline=None)
 @given(_polys, st.integers(0, 6))
 def test_d_power_commutes_past_euler_polynomial_by_shifting_theta(e, h):
     # D^h·E(θ) = E(θ+h)·D^h
-    shifted = euler_to_diffop(e.compose(UniPoly((Fraction(h), Fraction(1)))))
+    shifted = _horner(e.compose(UniPoly((Fraction(h), Fraction(1)))))
     rhs = DiffOp(tuple((k + h, p) for k, p in shifted.parts))
-    assert _leibniz_product(_d_power(h), euler_to_diffop(e)) == rhs
+    assert _leibniz_product(_d_power(h), _horner(e)) == rhs
 
 
 def test_euler_to_diffop():
-    theta = euler_to_diffop(UniPoly((Fraction(0), Fraction(1))))
-    assert theta.coefficient(1) == UniPoly((Fraction(0), Fraction(1)))
-    theta2 = euler_to_diffop(UniPoly((Fraction(0), Fraction(0), Fraction(1))))
-    # (s·D)^2 = s^2·D^2 + s·D
-    assert theta2.coefficient(2) == UniPoly((Fraction(0), Fraction(0), Fraction(1)))
-    assert theta2.coefficient(1) == UniPoly((Fraction(0), Fraction(1)))
+    # factor j of a length-2 chain is η_j·(θ + 3 - j) + θ_j: here 2·θ and θ
+    chain = HomogChain(((Fraction(2), Fraction(-4)), (Fraction(1, 3), Fraction(-1, 3))))
+    assert euler_to_diffop(chain) == [0, 2, 2]      # 2·θ^2 = 2·s^2·D^2 + 2·s·D
+    assert euler_to_diffop(chain, 1) == [2, 6, 2]   # 2·(θ+1)^2
+
+
+def _chain_with_roots(roots, etas) -> HomogChain:
+    """The chain whose Euler polynomial is Π_j (θ - ρ_j): factor j is
+    η_j·a + θ_j·b with η_j·(θ + q - j + 1) + θ_j = η_j·(θ - ρ_j)."""
+    q = len(roots)
+    return HomogChain(tuple((eta, -eta * (rho + q - j + 1))
+                            for j, (rho, eta) in enumerate(zip(roots, etas), 1)))
+
+
+def _diagonal(op: DiffOp, n: int) -> list:
+    """The s^k·D^k entries, k = 0..n, of an operator that is a polynomial in θ."""
+    return [op.coefficient(k)[k] for k in range(n + 1)]
+
+
+_roots = st.lists(st.one_of(st.integers(-2, 4), st.fractions(-5, 5, max_denominator=4)),
+                  min_size=1, max_size=7)
+_etas = st.lists(st.fractions(1, 4, max_denominator=3) | st.fractions(-4, -1, max_denominator=3),
+                 min_size=7, max_size=7)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_roots, _etas, st.integers(0, 5))
+def test_euler_to_diffop_matches_horner(roots, etas, shift):
+    chain = _chain_with_roots([Fraction(r) for r in roots], etas)
+    e = euler_form(chain.expand()).monic()
+    assert e == UniPoly.from_roots(roots)
+    x = euler_to_diffop(chain, shift)
+    oracle = _diagonal(_horner(e.compose(UniPoly((Fraction(shift), Fraction(1))))), len(roots))
+    assert [Fraction(v, x[-1]) for v in x] == oracle
 
 
 def test_to_differential_operator_e2(e2):
@@ -309,20 +382,24 @@ def test_ode_matches_the_term_by_term_oracle_on_random_specs(seed):
     assert _ode_values(to_differential_operator(op)) == _ode_oracle(op)
 
 
-def _laurent_export(g) -> DiffOp:
-    """The ODE export with the Horner steps in LaurentLambda arithmetic, the
-    former to_differential_operator."""
-    lead = euler_to_diffop(euler_form(g.P_dh))
-    shifted = euler_to_diffop(euler_form(g.P_d).compose(UniPoly((Fraction(g.h), Fraction(1)))))
+def _horner_export(g, coeff=lambda c: c) -> DiffOp:
+    """b^{-(d+h)}·P = E_{d+h}(θ) - c·λ^r·E_d(θ+h)·D^h by Horner steps in θ over
+    Q, or over LaurentLambda with coeff=as_laurent: the ODE export before the
+    closed form, and the one before that."""
+    lead = _horner(euler_form(g.P_dh).map_coeffs(coeff))
+    lead = DiffOp(tuple((k, p.map_coeffs(lambda c: c if isinstance(c, int) else as_laurent(c)))
+                        for k, p in lead.parts))
+    theta_h = UniPoly((Fraction(g.h), Fraction(1)))
+    shifted = _horner(euler_form(g.P_d).map_coeffs(coeff).compose(theta_h))
     tail = DiffOp(tuple((k + g.h, p) for k, p in shifted.parts))
-    return lead - tail * g.lambda_part()
+    return _sub(lead, _scale(tail, g.lambda_part()))
 
 
 # to_json, not ==: == does not see whether a zero is int 0 or an empty LaurentLambda
 @pytest.mark.parametrize("name", ["e2", "e3", "e4", "quintic"])
 def test_rational_horner_export_matches_the_laurent_one_byte_for_byte(request, name):
     op = build_operator(request.getfixturevalue(name))
-    assert to_differential_operator(op).to_json() == _laurent_export(op).to_json()
+    assert _horner_export(op).to_json() == _horner_export(op, as_laurent).to_json()
 
 
 @settings(max_examples=25, deadline=None)
@@ -330,4 +407,82 @@ def test_rational_horner_export_matches_the_laurent_one_byte_for_byte(request, n
 def test_rational_horner_export_matches_the_laurent_one_on_random_specs(seed):
     op = build_operator(random_spec(random.Random(seed), max_vars=3, max_entry=5,
                                     max_weight=24))
-    assert to_differential_operator(op).to_json() == _laurent_export(op).to_json()
+    assert _horner_export(op).to_json() == _horner_export(op, as_laurent).to_json()
+
+
+def _binomial_spec(a: int, b: int) -> PolySpec:
+    """x^a + y^b + λ·x·y."""
+    return PolySpec(((a, 0), (0, b)), (1, 1), (0, 0))
+
+
+@pytest.mark.parametrize("name", ["e2", "e3", "e4", "quintic", "e61", "x14y17"])
+def test_closed_form_export_matches_horner_byte_for_byte(request, name):
+    spec = _binomial_spec(14, 17) if name == "x14y17" else request.getfixturevalue(name)
+    op = build_operator(spec)
+    assert to_differential_operator(op).to_json() == _horner_export(op).to_json()
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(0, 2 ** 32))
+def test_closed_form_export_matches_horner_on_random_specs(seed):
+    op = build_operator(random_spec(random.Random(seed), max_vars=3, max_entry=5,
+                                    max_weight=24))
+    assert to_differential_operator(op).to_json() == _horner_export(op).to_json()
+
+
+def _zero_rule_branches(g) -> set[str]:
+    """The rare cases of the zero rule that g's export meets, read off the Horner
+    oracle: α and β are the s^k·D^k entries of E_{d+h}(θ) and E_d(θ+h), γ those
+    of (E_{d+h}(θ) - E_{d+h}(0))/θ."""
+    e = euler_form(g.P_dh)
+    alpha = _diagonal(_horner(e), g.d + g.h)
+    beta = _diagonal(_horner(euler_form(g.P_d).compose(UniPoly((Fraction(g.h), Fraction(1))))), g.d)
+    gamma = _diagonal(_horner(UniPoly(e.coeffs[1:])), g.d + g.h)
+    out = set()
+    for m in range(g.d + g.h + 1):
+        b = beta[m - g.h] if m >= g.h else 0
+        if m >= g.h and not alpha[m]:
+            out.add("alpha_m = 0, beta_{m-h} != 0" if b else "alpha_m = beta_{m-h} = 0")
+        if m >= g.h and alpha[m] and not b:
+            out.add("beta_{m-h} = 0, alpha_m != 0")
+        if m and alpha[m] and not gamma[m - 1] and not (b and g.h == 1):
+            out.add("gamma_{m-1} = 0")   # s^{m-1} holds int 0, not []
+    return out
+
+
+def _generic_roots(n: int, offset: Fraction) -> list[Fraction]:
+    return [offset + Fraction(k, 3) for k in range(n)]
+
+
+# Euler roots 0..k-1 give θ(θ-1)···(θ-k+1) = s^k·D^k, so α vanishes below k; roots
+# h..h+k-1 of E_d make β vanish below k; a double root 0 makes γ vanish low down
+_LEAD_ROOTS = {
+    "generic": lambda n: _generic_roots(n, Fraction(-7, 2)),
+    "falling": lambda n: [Fraction(k) for k in range(n)],
+    "double zero": lambda n: [Fraction(0), Fraction(0), Fraction(1), Fraction(2)]
+    + _generic_roots(n - 4, Fraction(5, 2)),
+}
+_TAIL_ROOTS = {
+    "generic": lambda n, h: _generic_roots(n, Fraction(-5, 4)),
+    "shifted falling": lambda n, h: [Fraction(h + k) for k in range(3)]
+    + _generic_roots(n - 3, Fraction(9, 4)),
+}
+
+
+@pytest.mark.parametrize("name", ["e2", "x2y5"])   # h = 1 and h = 3
+def test_closed_form_export_matches_horner_on_hand_built_chains(request, name):
+    op = build_operator(_binomial_spec(2, 5) if name == "x2y5" else request.getfixturevalue(name))
+    branches = set()
+    for lead in _LEAD_ROOTS.values():
+        for tail in _TAIL_ROOTS.values():
+            etas = cycle((Fraction(1), Fraction(2, 3), Fraction(-3)))
+            chain_dh = _chain_with_roots(lead(op.d + op.h), etas)
+            chain_d = _chain_with_roots(tail(op.d, op.h), etas)
+            g = replace(op, chain_dh=chain_dh, chain_d=chain_d,
+                        P_dh=chain_dh.expand() * (1 / chain_dh.leading),
+                        P_d=chain_d.expand() * (1 / chain_d.leading))
+            engine._certify_euler_products(g, AssertionError)
+            assert to_differential_operator(g).to_json() == _horner_export(g).to_json()
+            branches |= _zero_rule_branches(g)
+    assert branches == {"alpha_m = 0, beta_{m-h} != 0", "alpha_m = beta_{m-h} = 0",
+                        "beta_{m-h} = 0, alpha_m != 0", "gamma_{m-1} = 0"}
