@@ -227,6 +227,8 @@ class ABElement:
         return NotImplemented
 
     def __pow__(self, n: int):
+        if n < 0:
+            raise ValueError("negative exponent")
         out = ABElement.one(self.trunc)
         base = self
         while n:

@@ -401,7 +401,7 @@ class GMOperator:
 
     @classmethod
     def from_json(cls, data) -> "GMOperator":
-        return _certify_euler_products(cls(
+        op = cls(
             spec=PolySpec.from_json(data["spec"]),
             rel=RelationData.from_json(data["relation"]),
             P_dh=ABElement.from_json(data["P_dh"]),
@@ -410,7 +410,12 @@ class GMOperator:
             r=int(data["r"]),
             chain_dh=HomogChain.from_json(data["chain_dh"]),
             chain_d=HomogChain.from_json(data["chain_d"]),
-        ), MalformedOperator)
+        )
+        rel = op.rel
+        if (op.c, op.r, op.chain_dh.degree, op.chain_d.degree) != \
+                (rel.c, rel.r, rel.d + rel.h, rel.d):
+            raise MalformedOperator("c, r or a chain length disagrees with the relation")
+        return _certify_euler_products(op, MalformedOperator)
 
 
 def _certify_euler_products(op: GMOperator, error: type[Exception]) -> GMOperator:

@@ -8,7 +8,6 @@ and safe to share between threads.
 
 from __future__ import annotations
 
-import itertools
 import math
 from fractions import Fraction
 
@@ -295,6 +294,8 @@ class UniPoly:
     __rmul__ = __mul__
 
     def __pow__(self, n: int):
+        if n < 0:
+            raise ValueError("negative exponent")
         out = UniPoly.const(Fraction(1))
         base = self
         while n:
@@ -412,17 +413,8 @@ class UniPoly:
 
 
 # ---------------------------------------------------------------------------
-# gcd, Bezout, squarefree decomposition (Fraction coefficients)
+# Bezout cofactors (Fraction coefficients)
 # ---------------------------------------------------------------------------
-
-def poly_gcd(u: UniPoly, v: UniPoly) -> UniPoly:
-    """Monic gcd over Q, by Euclid on primitive integer remainders."""
-    a, b = u, v
-    while not b.is_zero():
-        r = a % b
-        a, b = b, UniPoly(map(Fraction, _to_int_poly(r))) if r else r
-    return a.monic()
-
 
 def bezout(u: UniPoly, v: UniPoly) -> tuple[UniPoly, UniPoly]:
     """Cofactors (s, t) with s*u + t*v = 1, deg s < deg v, deg t < deg u.
@@ -451,215 +443,95 @@ def bezout(u: UniPoly, v: UniPoly) -> tuple[UniPoly, UniPoly]:
     return s, t
 
 
-def squarefree_decomposition(p: UniPoly) -> list[tuple[UniPoly, int]]:
-    """Yun's algorithm: [(g, m)] with p = lead * prod g^m, g monic squarefree,
-    pairwise coprime, multiplicities m strictly increasing."""
+# ---------------------------------------------------------------------------
+# Factoring over Q: the operator's class x^d·(x^h - w) in closed form,
+# every other polynomial by sympy
+# ---------------------------------------------------------------------------
+
+def _int_root(n: int, k: int) -> int | None:
+    """The integer k-th root of n >= 0 when n is a k-th power, else None."""
+    if n < 2:
+        return n
+    # Newton's iteration falls monotonically to floor(n^(1/k)) from any start
+    # above it: a float estimate raised by 2^-30, else 2^ceil(bits/k), from
+    # which it would take about k steps
+    x = math.log2(n) / k
+    shift = max(0, int(x) - 52)
+    r = int(2.0 ** (x - shift)) << shift
+    r += (r >> 30) + 1
+    if r ** k < n:
+        r = 1 << -(-n.bit_length() // k)
+    while True:
+        s = ((k - 1) * r + n // r ** (k - 1)) // k
+        if s >= r:
+            return r if r ** k == n else None
+        r = s
+
+
+def _rational_root(w: Fraction, k: int) -> Fraction | None:
+    """The rational v with v^k = w, positive when k is even, or None."""
+    if w < 0 and k % 2 == 0:
+        return None
+    num, den = _int_root(abs(w.numerator), k), _int_root(w.denominator, k)
+    if num is None or den is None:
+        return None
+    return Fraction(num if w > 0 else -num, den)
+
+
+def _binomial_factors(h: int, w: Fraction) -> list[UniPoly]:
+    """The monic irreducible factors of x^h - w over Q, for w != 0."""
+    v = _rational_root(w, h)
+    if v is not None:
+        # x^h - v^h is the product of v^phi(e)·Phi_e(x/v) over e | h
+        cyclotomic: dict[int, UniPoly] = {}
+        for e in range(1, h + 1):
+            if h % e == 0:
+                phi = UniPoly.x_power(e) - UniPoly.const(Fraction(1))
+                for k, f in cyclotomic.items():
+                    if e % k == 0:
+                        phi = phi // f
+                cyclotomic[e] = phi
+        return [UniPoly(c * v ** (f.degree - k) for k, c in enumerate(f.coeffs))
+                for f in cyclotomic.values()]
+    # Capelli (Lang, Algebra, VI Thm. 9.1): x^h - w is irreducible unless w is
+    # a p-th power for a prime p | h, or 4 | h and w is in -4·Q^4
+    primes = [p for p in range(2, h + 1) if h % p == 0 and all(p % q for q in range(2, p))]
+    if all(_rational_root(w, p) is None for p in primes) and \
+            (h % 4 or _rational_root(-w / 4, 4) is None):
+        return [UniPoly.x_power(h) - UniPoly.const(w)]
+    if h % 2 == 0 and (v := _rational_root(w, 2)) is not None:
+        return _binomial_factors(h // 2, v) + _binomial_factors(h // 2, -v)
+    return [f for f, _ in _sympy_factor(UniPoly.x_power(h) - UniPoly.const(w))]
+
+
+def _sympy_factor(p: UniPoly) -> list[tuple[UniPoly, int]]:
+    import sympy  # about 0.3 s and 30 MB, paid only where no closed form applies
+
+    x = sympy.Symbol("x")
+    poly = sympy.Poly([sympy.Rational(c.numerator, c.denominator)
+                       for c in reversed(p.coeffs)], x)
+    return [(UniPoly(Fraction(int(c.p), int(c.q)) for c in reversed(f.all_coeffs())).monic(), m)
+            for f, m in poly.factor_list()[1]]
+
+
+def _factor(p: UniPoly) -> list[tuple[UniPoly, int]]:
+    """The monic irreducible factors of a nonzero p over Q, with multiplicities."""
     p = p.monic()
-    out: list[tuple[UniPoly, int]] = []
-    dp = p.derivative()
-    a = poly_gcd(p, dp)
-    b = p // a
-    c = dp // a
-    m = 1
-    while b.degree >= 1:
-        d = c - b.derivative()
-        g = poly_gcd(b, d)
-        if g.degree >= 1:
-            out.append((g, m))
-        b = b // g
-        c = d // g
-        m += 1
+    support = [k for k, c in enumerate(p.coeffs) if c]
+    if len(support) > 2:
+        return _sympy_factor(p)
+    d = support[0]
+    out = [(UniPoly((Fraction(0), Fraction(1))), d)] if d else []
+    if len(support) == 2:
+        out += [(f, 1) for f in _binomial_factors(p.degree - d, -p[d])]
     return out
-
-
-# ---------------------------------------------------------------------------
-# Rational roots via modular lifting and rational reconstruction
-# ---------------------------------------------------------------------------
-
-# Probed first: 5011 (lambda = 1) and 4111 (lambda = 2) certify e61's class
-# a^15 - c irreducible; at lambda = 1 consecutive primes first do so at 4441.
-_ROOT_PRIMES = (4099, 4111, 4127, 4129, 4133, 4139, 4153, 4157, 5003, 5009,
-                5011, 5021, 5023, 5039, 5051, 5059, 6007, 6011, 6029, 6037)
-
-
-def _to_int_poly(p: UniPoly) -> list[int]:
-    den = math.lcm(*(Fraction(c).denominator for c in p.coeffs))
-    ints = [int(Fraction(c) * den) for c in p.coeffs]
-    g = math.gcd(*ints)
-    if g > 1:
-        ints = [c // g for c in ints]
-    return ints
-
-
-def _fp_eval(coeffs: list[int], x: int, p: int) -> int:
-    out = 0
-    for c in reversed(coeffs):
-        out = (out * x + c) % p
-    return out
-
-
-def _fp_trim(a: list[int]) -> list[int]:
-    while a and a[-1] == 0:
-        a.pop()
-    return a
-
-
-def _fp_divmod(a: list[int], b: list[int], p: int) -> tuple[list[int], list[int]]:
-    a = list(a)
-    q = [0] * max(0, len(a) - len(b) + 1)
-    inv = pow(b[-1], -1, p)
-    while len(a) >= len(b) and a:
-        c = a[-1] * inv % p
-        k = len(a) - len(b)
-        q[k] = c
-        for i, bc in enumerate(b):
-            a[k + i] = (a[k + i] - c * bc) % p
-        _fp_trim(a)
-    return q, a
-
-
-def _fp_gcd(a: list[int], b: list[int], p: int) -> list[int]:
-    a, b = _fp_trim(list(a)), _fp_trim(list(b))
-    while b:
-        a, b = b, _fp_divmod(a, b, p)[1]
-    if a:
-        inv = pow(a[-1], -1, p)
-        a = [c * inv % p for c in a]
-    return a
-
-
-def _fp_mulmod(a: list[int], b: list[int], mod: list[int], p: int) -> list[int]:
-    out = [0] * (len(a) + len(b) - 1) if a and b else []
-    for i, ac in enumerate(a):
-        if ac:
-            for j, bc in enumerate(b):
-                out[i + j] = (out[i + j] + ac * bc) % p
-    return _fp_divmod(_fp_trim(out), mod, p)[1]
-
-
-def _rational_reconstruct(r: int, m: int, num_bound: int, den_bound: int) -> Fraction | None:
-    """Find p/q = r mod m with |p| <= num_bound, 0 < q <= den_bound."""
-    v0, v1 = (m, 0), (r % m, 1)
-    while v1[0] > num_bound:
-        q = v0[0] // v1[0]
-        v0, v1 = v1, (v0[0] - q * v1[0], v0[1] - q * v1[1])
-    num, den = v1[0], v1[1]
-    if den == 0 or abs(den) > den_bound:
-        return None
-    if den < 0:
-        num, den = -num, -den
-    if math.gcd(abs(num), den) != 1:
-        return None
-    return Fraction(num, den)
-
-
-def _good_primes(g: list[int]):
-    """Yield (p, g mod p) for the primes p that divide neither the leading
-    coefficient of the squarefree integer polynomial g nor its discriminant:
-    the _ROOT_PRIMES table first, then every larger prime.  Only finitely
-    many primes are skipped, so the stream never runs dry."""
-    later = (n for n in itertools.count(_ROOT_PRIMES[-1] + 2, 2)
-             if all(n % q for q in range(3, math.isqrt(n) + 1, 2)))
-    for prime in itertools.chain(_ROOT_PRIMES, later):
-        if g[-1] % prime == 0:
-            continue
-        gp = [c % prime for c in g]
-        dgp = _fp_trim([c * k % prime for k, c in enumerate(gp) if k >= 1])
-        if len(_fp_gcd(gp, dgp, prime)) == 1:
-            yield prime, gp
-
-
-def _squarefree_roots(g: UniPoly) -> list[Fraction]:
-    """The rational roots of a squarefree polynomial over Q, ascending.
-
-    Each root modulo one good prime is Newton-lifted until the modulus
-    exceeds the reconstruction bounds, reconstructed as a fraction and kept
-    if it divides g exactly, so huge integer coefficients stay cheap.
-    """
-    roots = []
-    if g[0] == 0:
-        roots.append(Fraction(0))
-        g = UniPoly(g.coeffs[1:])
-    if g.degree == 1:
-        roots.append(-Fraction(g[0]) / Fraction(g[1]))
-    elif g.degree > 1:
-        ints = _to_int_poly(g)
-        dints = [c * k for k, c in enumerate(ints) if k >= 1]
-        num_bound, den_bound = abs(ints[0]), abs(ints[-1])
-        target = 2 * num_bound * den_bound + 1
-        prime, gp = next(_good_primes(ints))
-        for r in range(prime):
-            if _fp_eval(gp, r, prime):
-                continue
-            m = prime
-            while m < target:
-                # g' is a unit at a simple root, so each step squares the modulus
-                m = m * m
-                r = (r - _fp_eval(ints, r, m) * pow(_fp_eval(dints, r, m), -1, m)) % m
-            root = _rational_reconstruct(r, m, num_bound, den_bound)
-            if root is not None and (g % UniPoly((-root, Fraction(1)))).is_zero():
-                roots.append(root)
-    return sorted(roots)
 
 
 def rational_roots(p: UniPoly) -> list[tuple[Fraction, int]]:
     """All rational roots of p with multiplicities, sorted ascending."""
     if p.is_zero():
         raise ValueError("rational_roots of the zero polynomial")
-    return sorted((root, m) for g, m in squarefree_decomposition(p)
-                  for root in _squarefree_roots(g))
-
-
-# ---------------------------------------------------------------------------
-# Coprime splitting into powers of distinct irreducibles
-# ---------------------------------------------------------------------------
-
-def _is_irreducible_mod_p(gp: list[int], prime: int) -> bool:
-    """Distinct-degree certificate for g mod p, squarefree of full degree:
-    g irreducible over F_p implies g irreducible over Q."""
-    deg = len(gp) - 1
-    h = _fp_divmod([0, 1], gp, prime)[1]  # x mod g
-    for _ in range(deg // 2):
-        # h <- h^p mod g (iterated Frobenius)
-        hp = [1]
-        base, e = h, prime
-        while e:
-            if e & 1:
-                hp = _fp_mulmod(hp, base, gp, prime)
-            base = _fp_mulmod(base, base, gp, prime)
-            e >>= 1
-        h = hp
-        probe = list(h)
-        if len(probe) < 2:
-            probe = probe + [0]
-        probe[1] = (probe[1] - 1) % prime
-        if len(_fp_gcd(gp, _fp_trim(probe), prime)) != 1:
-            return False
-    return True
-
-
-def _certified_irreducible_factors(g: UniPoly) -> list[UniPoly]:
-    """Split a monic squarefree polynomial with no rational roots into monic
-    irreducible factors over Q."""
-    if g.degree <= 3:
-        # no rational roots and degree <= 3 means irreducible
-        return [g]
-    for prime, gp in itertools.islice(_good_primes(_to_int_poly(g)), len(_ROOT_PRIMES)):
-        if _is_irreducible_mod_p(gp, prime):
-            return [g]
-    # reducible mod every probed prime: fall back to a full factorization
-    import sympy
-
-    x = sympy.Symbol("x")
-    expr = sum(sympy.Rational(Fraction(c)) * x ** k for k, c in enumerate(g.coeffs))
-    _, factors = sympy.Poly(expr, x).factor_list()
-    out = []
-    for fac, mult in factors:
-        if mult != 1:
-            raise InternalError(f"a squarefree polynomial has a repeated factor: {g}")
-        cs = [Fraction(str(c)) for c in reversed(sympy.Poly(fac, x).all_coeffs())]
-        out.append(UniPoly(cs).monic())
-    return out
+    return sorted((-f[0], m) for f, m in _factor(p) if f.degree == 1)
 
 
 def coprime_split(p: UniPoly) -> list[UniPoly]:
@@ -670,21 +542,10 @@ def coprime_split(p: UniPoly) -> list[UniPoly]:
     """
     if not p.is_monic():
         raise ValueError("coprime_split needs a monic polynomial")
-    pieces: list[UniPoly] = []
-    for g, m in squarefree_decomposition(p):
-        rest = g
-        for root in _squarefree_roots(g):
-            lin = UniPoly((-root, Fraction(1)))
-            pieces.append(lin ** m)
-            rest = rest // lin
-        if rest.degree >= 1:
-            for irr in _certified_irreducible_factors(rest):
-                pieces.append(irr ** m)
-
-    def key(f: UniPoly):
-        return (abs(Fraction(f[0])), tuple(Fraction(c) for c in f.coeffs))
-
-    pieces.sort(key=key)
+    pieces = sorted((f ** m for f, m in _factor(p)),
+                    key=lambda f: (abs(Fraction(f[0])), tuple(Fraction(c) for c in f.coeffs)))
+    if math.prod(pieces, start=UniPoly.const(Fraction(1))) != p:
+        raise InternalError("the pieces of coprime_split do not multiply back to p")
     return pieces
 
 

@@ -300,3 +300,8 @@ def test_text_form():
     p = A ** 3 + B * A - B * B
     # decreasing total degree, then decreasing a-power
     assert str(p) == "a^3 + b·a - b^2"
+
+
+def test_negative_power_is_refused():
+    with pytest.raises(ValueError, match="negative exponent"):
+        ABElement.linear(Fraction(1), Fraction(0)) ** -1

@@ -7,8 +7,8 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import SPEC_DIR, run_python, src_env
-from gaussmanin import cli, critical, intdep, scalars
+from conftest import ROOT_PRIMES, SPEC_DIR, run_python, src_env
+from gaussmanin import cli, critical, intdep
 from gaussmanin.cli import main
 from gaussmanin.engine import RelationData, GMOperator, analyze, build_operator, load_spec_file
 from gaussmanin.ode import DiffOp
@@ -327,27 +327,48 @@ def test_factor_when_every_table_prime_divides_the_leading_coefficient(tmp_path)
     spec = tmp_path / "x4y4.json"
     spec.write_text(json.dumps({"nvars": 2, "monomials": [[4, 0], [0, 4]],
                                 "lambda_monomial": [1, 1]}))
-    lam = f"1/{math.prod(scalars._ROOT_PRIMES)}"
+    lam = f"1/{math.prod(ROOT_PRIMES)}"
     proc = run_python("-m", "gaussmanin.cli", "factor", str(spec), f"--lambda={lam}",
                        "--prec", "8", timeout=30)
     assert proc.returncode == 0
     assert "right-divides P_d: yes" in proc.stdout
 
 
-def test_e61_class_splits_without_sympy():
+def test_e61_class_splits_without_sympy(tmp_path):
+    # a^d·(a^4 - t^2) with |t| not a square splits into a^d, a^2 - t, a^2 + t
+    x10y13 = tmp_path / "x10y13.json"
+    x10y13.write_text(json.dumps({"nvars": 2, "monomials": [[10, 0], [0, 13]],
+                                  "lambda_monomial": [1, 1]}))
     script = """
 import sys
 from fractions import Fraction
 from gaussmanin.engine import build_operator, load_spec_file
-from gaussmanin.scalars import coprime_split
-op = build_operator(load_spec_file(sys.argv[1]))
-for lam in (1, 2, 3):
-    print(len(coprime_split(op.specialized(Fraction(lam)).mod_b())))
+from gaussmanin.scalars import UniPoly, coprime_split
+for path in sys.argv[1:]:
+    op = build_operator(load_spec_file(path))
+    for lam in (1, 2, 3):
+        print(len(coprime_split(op.specialized(Fraction(lam)).mod_b())))
+for t in (Fraction(3), Fraction(-5, 7), Fraction(2**61 - 1, 6)):
+    print(len(coprime_split(UniPoly.x_power(7) * (UniPoly.x_power(4) - UniPoly.const(t * t)))))
 print("sympy" in sys.modules)
 """
-    proc = run_python("-c", script, str(SPEC_DIR / "e61.json"))
-    assert proc.returncode == 0
-    assert proc.stdout.split() == ["2", "2", "2", "False"]
+    proc = run_python("-c", script, str(SPEC_DIR / "e61.json"), str(x10y13), timeout=30)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["2"] * 6 + ["3"] * 3 + ["False"]
+
+
+def test_factor_json_bytes_at_h_107(tmp_path):
+    # x^10 + y^13 + λxy: d+h = 130, class a^23·(a^107 - w), irreducible by
+    # Capelli; stdout sha256 recorded when sympy's factor_list split it (26 s)
+    spec = tmp_path / "x10y13.json"
+    spec.write_text(json.dumps({"nvars": 2, "monomials": [[10, 0], [0, 13]],
+                                "lambda_monomial": [1, 1], "mu": [0, 0]}))
+    proc = subprocess.run([sys.executable, "-m", "gaussmanin.cli", "factor", str(spec),
+                           "--lambda", "1", "--prec", "25", "--format", "json"],
+                          capture_output=True, env=src_env(), timeout=30)
+    assert proc.returncode == 0, proc.stderr
+    assert hashlib.sha256(proc.stdout).hexdigest() == \
+        "6fbf7a251579164342c9931893c78c61ef46e3772b10f0066a29fda9c9a4cd8e"
 
 
 def test_missing_file_exits_2(capsys):

@@ -20,7 +20,13 @@ from gaussmanin import (
 )
 from gaussmanin import engine
 from gaussmanin.abalgebra import ABElement, HomogChain, theta_k
-from gaussmanin.errors import GammaTouchesH, InternalError, MalformedSpec, QuasiHomogeneous
+from gaussmanin.errors import (
+    GammaTouchesH,
+    InternalError,
+    MalformedOperator,
+    MalformedSpec,
+    QuasiHomogeneous,
+)
 
 # the λ values at which the closed forms are compared
 LAMS = (Fraction(1), Fraction(2), Fraction(-3, 7))
@@ -298,6 +304,18 @@ def test_operator_from_json_refuses_chains_that_disagree_with_P(e2):
     data["P_dh"]["terms"] = []
     with pytest.raises(MalformedSpec, match="P_6 is not the Euler product"):
         GMOperator.from_json(data)
+
+
+def test_operator_from_json_refuses_c_r_or_a_chain_length_off_the_relation(e2):
+    # with c doubled the chains still certify P, and the ODE export was wrong
+    good = build_operator(e2).to_json()
+    assert GMOperator.from_json(good).to_json() == good
+    for key, value in (("c", str(2 * Fraction(good["c"]))), ("r", good["r"] + 1),
+                       ("chain_d", good["chain_d"][:-1])):
+        data = json.loads(json.dumps(good))
+        data[key] = value
+        with pytest.raises(MalformedOperator, match="disagrees with the relation"):
+            GMOperator.from_json(data)
 
 
 def test_analyze_cached_and_shared_across_mu(e2):

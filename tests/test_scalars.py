@@ -7,9 +7,9 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import ROOT_PRIMES as _ROOT_PRIMES
 from gaussmanin.errors import NotCoprime
 from gaussmanin.scalars import (
-    _ROOT_PRIMES,
     LaurentLambda,
     UniPoly,
     bezout,
@@ -18,9 +18,7 @@ from gaussmanin.scalars import (
     mat_inverse,
     mat_rank,
     mat_solve,
-    poly_gcd,
     rational_roots,
-    squarefree_decomposition,
 )
 
 
@@ -78,7 +76,8 @@ def test_unipoly_divmod_and_gcd():
     p = (x - UniPoly.const(Fraction(1))) ** 2 * (x + UniPoly.const(Fraction(3)))
     q, r = p.divmod(x - UniPoly.const(Fraction(1)))
     assert r.is_zero()
-    assert poly_gcd(p, p.derivative()).degree == 1
+    with pytest.raises(NotCoprime, match="gcd has degree 1"):
+        bezout(p, p.derivative())
 
 
 def test_rational_roots_known_examples():
@@ -115,14 +114,6 @@ def test_rational_roots_huge_coefficients_fast():
     assert rational_roots(p) == []
 
 
-def test_squarefree_decomposition():
-    x = UniPoly((Fraction(0), Fraction(1)))
-    one = UniPoly.const(Fraction(1))
-    p = (x - one) ** 3 * (x + one) * (x ** 2 + UniPoly.const(Fraction(2)))
-    parts = squarefree_decomposition(p)
-    assert [(g.format(), m) for g, m in parts] == [("x^3 + x^2 + 2·x + 2", 1), ("x - 1", 3)]
-
-
 def test_coprime_split_known_examples():
     x = UniPoly((Fraction(0), Fraction(1)))
     one = UniPoly.const(Fraction(1))
@@ -149,7 +140,8 @@ def test_coprime_split_properties():
         assert prod == p
         for i in range(len(parts)):
             for j in range(i + 1, len(parts)):
-                assert poly_gcd(parts[i], parts[j]).degree == 0
+                s, t = bezout(parts[i], parts[j])
+                assert s * parts[i] + t * parts[j] == UniPoly.const(Fraction(1))
 
 
 def test_coprime_split_irreducible_certificate():
@@ -255,9 +247,8 @@ _small_roots = st.builds(Fraction, st.integers(-20, 20),
 def _polynomials(draw):
     """Rational roots with multiplicities times a polynomial of degree 0-4
     whose constant term may have the denominator prod(_ROOT_PRIMES), scaled.
-    Primes of the table that divide a root denominator or the leading
-    coefficient of the primitive integer form are ruled out for the modular
-    root search; at times every one of them is ruled out."""
+    At times every prime of the table divides the leading coefficient of the
+    primitive integer form."""
     p = UniPoly.const(Fraction(1))
     for root, m in draw(st.lists(st.tuples(_small_roots, st.integers(1, 3)), max_size=4)):
         p = p * UniPoly.from_roots([root] * m)
@@ -289,8 +280,8 @@ def test_rational_roots_and_coprime_split_match_sympy(p):
 
 def test_rational_roots_when_every_table_prime_divides_the_leading_coefficient():
     # every prime of the table divides the leading coefficient of the integer
-    # form 4099·P·(x - 1/4099)·(x + 2)·(x^2 + 3/P), so the modular search has
-    # to run on a larger prime, and 4099 could not see the root 1/4099
+    # form 4099·P·(x - 1/4099)·(x + 2)·(x^2 + 3/P): a root search modulo
+    # those primes could not see the root 1/4099
     roots = [Fraction(1, 4099), Fraction(-2)]
     quadratic = UniPoly((Fraction(3, _TABLE_PRODUCT), Fraction(0), Fraction(1)))
     p = UniPoly.from_roots(roots) * quadratic
@@ -298,19 +289,51 @@ def test_rational_roots_when_every_table_prime_divides_the_leading_coefficient()
     assert coprime_split(p) == [quadratic] + [UniPoly.from_roots([r]) for r in roots]
 
 
-@settings(max_examples=100, deadline=None)
-@given(_polynomials(), _polynomials(), st.lists(_small_roots, max_size=3))
-def test_poly_gcd_matches_sympy(u, v, common):
-    shared = UniPoly.from_roots(common)
-    u, v = u * shared, v * shared
-    expected = sympy.gcd(_sympy_poly(u), _sympy_poly(v)).monic()
-    assert poly_gcd(u, v).coeffs == \
-        tuple(Fraction(int(c.p), int(c.q)) for c in reversed(expected.all_coeffs()))
-
-
 def test_rational_roots_of_many_table_prime_denominators():
-    # degree 23: Euclid over Q without content removal swelled the
-    # coefficients of the squarefree decomposition's gcds
+    # degree 23 with 21 large denominators, whose coefficients swell in a
+    # Euclid over Q without content removal
     roots = [Fraction(1, q) for q in _ROOT_PRIMES] + [Fraction(-2)]
     p = UniPoly.from_roots(roots) * UniPoly((Fraction(3), Fraction(0), Fraction(1)))
     assert rational_roots(p) == [(r, 1) for r in sorted(roots)]
+
+
+def _primes_dividing(n: int) -> list[int]:
+    return [p for p in range(2, n + 1) if n % p == 0 and all(p % q for q in range(2, p))]
+
+
+@st.composite
+def _binomials(draw):
+    """x^d·(x^n - w), n <= 30, with w of either sign: an n-th power, a p-th
+    power for a prime p | n, -4·u^4 with 4 | n, a square, or any rational."""
+    n = draw(st.integers(1, 30))
+    u = Fraction(draw(st.integers(1, 7)), draw(st.integers(1, 5)))
+    kind = draw(st.sampled_from(["n-th power", "p-th power", "-4u^4", "square", "any"]))
+    if kind == "n-th power":
+        w = u ** n
+    elif kind == "p-th power" and n > 1:
+        w = u ** draw(st.sampled_from(_primes_dividing(n)))
+    elif kind == "-4u^4":
+        n = 4 * draw(st.integers(1, 7))
+        w = -4 * u ** 4
+    elif kind == "square":
+        w = u ** 2
+    else:
+        w = u
+    w *= draw(st.sampled_from([1, -1]))
+    return UniPoly.x_power(draw(st.integers(0, 4))) * (UniPoly.x_power(n) - UniPoly.const(w))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_binomials())
+def test_binomial_class_factors_match_sympy(p):
+    _, factors = _sympy_poly(p).factor_list()
+    factors = [(UniPoly([Fraction(int(c.p), int(c.q)) for c in reversed(f.all_coeffs())]).monic(), m)
+               for f, m in factors]
+    assert rational_roots(p) == sorted((-f[0], m) for f, m in factors if f.degree == 1)
+    expected = sorted((f ** m).coeffs for f, m in factors)
+    assert sorted(piece.coeffs for piece in coprime_split(p)) == expected
+
+
+def test_unipoly_negative_power_is_refused():
+    with pytest.raises(ValueError, match="negative exponent"):
+        UniPoly((1, 1)) ** -1
