@@ -453,14 +453,8 @@ def _int_root(n: int, k: int) -> int | None:
     if n < 2:
         return n
     # Newton's iteration falls monotonically to floor(n^(1/k)) from any start
-    # above it: a float estimate raised by 2^-30, else 2^ceil(bits/k), from
-    # which it would take about k steps
-    x = math.log2(n) / k
-    shift = max(0, int(x) - 52)
-    r = int(2.0 ** (x - shift)) << shift
-    r += (r >> 30) + 1
-    if r ** k < n:
-        r = 1 << -(-n.bit_length() // k)
+    # above it, here 2^ceil(bits/k)
+    r = 1 << -(-n.bit_length() // k)
     while True:
         s = ((k - 1) * r + n // r ** (k - 1)) // k
         if s >= r:

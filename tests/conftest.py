@@ -19,8 +19,8 @@ FAMILY_ALPHAS = (
     (3, 1, 0, 1), (2, 2, 1, 0), (2, 2, 0, 1), (2, 0, 2, 1),
 )
 
-# primes from 4099 up, once the table of a modular root search: as
-# denominators they make large coefficients with many prime factors
+# a table of primes from 4099 up: as denominators their product makes large
+# coefficients with many prime factors
 ROOT_PRIMES = (4099, 4111, 4127, 4129, 4133, 4139, 4153, 4157, 5003, 5009,
                5011, 5021, 5023, 5039, 5051, 5059, 6007, 6011, 6029, 6037)
 

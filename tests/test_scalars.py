@@ -247,8 +247,8 @@ _small_roots = st.builds(Fraction, st.integers(-20, 20),
 def _polynomials(draw):
     """Rational roots with multiplicities times a polynomial of degree 0-4
     whose constant term may have the denominator prod(_ROOT_PRIMES), scaled.
-    At times every prime of the table divides the leading coefficient of the
-    primitive integer form."""
+    At times every prime of _ROOT_PRIMES divides the leading coefficient of
+    the primitive integer form."""
     p = UniPoly.const(Fraction(1))
     for root, m in draw(st.lists(st.tuples(_small_roots, st.integers(1, 3)), max_size=4)):
         p = p * UniPoly.from_roots([root] * m)
@@ -279,9 +279,8 @@ def test_rational_roots_and_coprime_split_match_sympy(p):
 
 
 def test_rational_roots_when_every_table_prime_divides_the_leading_coefficient():
-    # every prime of the table divides the leading coefficient of the integer
-    # form 4099·P·(x - 1/4099)·(x + 2)·(x^2 + 3/P): a root search modulo
-    # those primes could not see the root 1/4099
+    # every prime of _ROOT_PRIMES divides the leading coefficient of the
+    # integer form 4099·P·(x - 1/4099)·(x + 2)·(x^2 + 3/P), P their product
     roots = [Fraction(1, 4099), Fraction(-2)]
     quadratic = UniPoly((Fraction(3, _TABLE_PRODUCT), Fraction(0), Fraction(1)))
     p = UniPoly.from_roots(roots) * quadratic
