@@ -25,6 +25,7 @@ from .ode import singular_values, to_differential_operator
 
 
 MAX_ORDER = 2000   # largest d+h accepted: every output grows with it
+MAX_STARTS = 10_000   # most Newton starts accepted: about 12 s on quintic
 
 
 def _fmt_tuple(xs) -> str:
@@ -171,6 +172,9 @@ def _cmd_intdep(args) -> int:
 
 
 def _cmd_verify_critical(args) -> int:
+    if args.starts > MAX_STARTS:
+        raise PreconditionError(
+            f"--starts {args.starts} exceeds the supported maximum {MAX_STARTS}")
     spec = _load_spec(args.spec)
     lam = complex(_parse_lambda(args.lam))
     report = critical_values(spec, lam, n_starts=args.starts, tol=args.tol)

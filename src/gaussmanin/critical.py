@@ -87,13 +87,34 @@ def _gradient_terms(terms, n):
     return grad
 
 
-def _eval_terms(term_list, x):
-    out = 0.0 + 0.0j
-    for c, e in term_list:
+def _compile(term_lists):
+    """Each term list as (c, indices) pairs, with the indices pointing into the
+    returned list of the (variable, exponent >= 1) powers that the lists use,
+    in variable order within each term."""
+    powers: dict[tuple[int, int], int] = {}
+    compiled = [[(c, tuple(powers.setdefault((i, k), len(powers))
+                           for i, k in enumerate(e) if k)) for c, e in terms]
+                for terms in term_lists]
+    return compiled, list(powers)
+
+
+def _power_table(x, powers):
+    """x_i^k for every (i, k) in powers, as Python complex.
+
+    Each power is numpy's scalar power on the complex128 element: for k >= 100
+    CPython's complex ** k takes another algorithm and can differ in the last bit.
+    """
+    xs = list(x)
+    return [complex(xs[i] ** k) for i, k in powers]
+
+
+def _evaluate(term_list, table):
+    """Sum of c·x_i^k·... over a compiled term list, in list and variable order."""
+    out = 0j
+    for c, factors in term_list:
         v = c
-        for xi, ei in zip(x, e):
-            if ei:
-                v *= xi ** ei
+        for j in factors:
+            v *= table[j]
         out += v
     return out
 
@@ -105,6 +126,65 @@ def _predicted_roots(h: int, w: complex) -> tuple[complex, ...]:
     arg = cmath.phase(w)
     return tuple(mag * cmath.exp(1j * (arg + 2 * cmath.pi * k) / h)
                  for k in range(h))
+
+
+def _newton_search(terms, n: int, n_starts: int, keep: float, seed: int):
+    """Newton's method on ∇f = 0 from n_starts random starts.
+
+    Returns the (critical value, scaled residual) pairs of the starts that
+    converged with a residual below keep, and their number.  Every step
+    evaluates the gradient and the Hessian from one table of the powers
+    x_i^k that their terms use.
+    """
+    max_deg = max(sum(e) for _, e in terms)
+    grad_terms = _gradient_terms(terms, n)
+    hess_terms = [(i, k, t) for i, g in enumerate(grad_terms)
+                  for k, t in enumerate(_gradient_terms(g, n)) if t]   # nonzero entries
+    compiled, powers = _compile(grad_terms + [t for _, _, t in hess_terms])
+    grad = compiled[:n]
+    hess = [(i, k, t) for (i, k, _), t in zip(hess_terms, compiled[n:])]
+    (f_terms,), f_powers = _compile([terms])
+
+    rng = np.random.default_rng(seed)
+    scales = (0.5, 1.0, 2.0, 4.0)
+    raw_values = []
+    n_converged = 0
+    for start in range(n_starts):
+        radius = scales[start % len(scales)]
+        x = radius * (rng.uniform(-1, 1, n) + 1j * rng.uniform(-1, 1, n))
+        x_max = np.abs(x).max()
+        ok = False
+        for _ in range(80):
+            table = _power_table(x, powers)
+            g = np.array([_evaluate(gi, table) for gi in grad])
+            try:
+                scale = max(1.0, float(x_max) ** max(1, max_deg - 1))
+            except OverflowError:
+                break   # |x|^(deg-1) beyond the float range: the start diverged
+            g_max = np.abs(g).max()
+            if g_max <= 1e-13 * scale:
+                ok = True
+                break
+            H = [[0j] * n for _ in range(n)]
+            for i, k, t in hess:
+                H[i][k] = _evaluate(t, table)
+            try:
+                step = np.linalg.solve(np.array(H), -g)
+            except np.linalg.LinAlgError:
+                break
+            x = x + step
+            if not np.isfinite(x.view(float)).all():
+                break
+            x_max = np.abs(x).max()
+            if x_max > 1e8:
+                break
+        if not ok:
+            continue
+        residual = float(g_max) / scale   # g and scale were taken at x
+        if residual < keep:
+            n_converged += 1
+            raw_values.append((_evaluate(f_terms, _power_table(x, f_powers)), residual))
+    return raw_values, n_converged
 
 
 def critical_values(spec: PolySpec, lambda_value: complex, n_starts: int = 200,
@@ -124,43 +204,9 @@ def critical_values(spec: PolySpec, lambda_value: complex, n_starts: int = 200,
         raise PreconditionError(f"need at least one Newton start, got {n_starts}")
     if not (math.isfinite(tol) and tol > 0):
         raise PreconditionError(f"tolerance must be a finite positive number, got {tol}")
-    keep = min(1e-9, tol)
     rel = analyze(spec)
-    n = spec.n_vars
-    terms = _monomial_terms(spec, lam)
-    grad = _gradient_terms(terms, n)
-    hess = [_gradient_terms(g, n) for g in grad]
-    max_deg = max(sum(e) for _, e in terms)
-
-    rng = np.random.default_rng(seed)
-    scales = (0.5, 1.0, 2.0, 4.0)
-    raw_values = []
-    n_converged = 0
-    for start in range(n_starts):
-        radius = scales[start % len(scales)]
-        x = radius * (rng.uniform(-1, 1, n) + 1j * rng.uniform(-1, 1, n))
-        ok = False
-        for _ in range(80):
-            g = np.array([_eval_terms(gi, x) for gi in grad])
-            scale = max(1.0, float(np.max(np.abs(x))) ** max(1, max_deg - 1))
-            if np.max(np.abs(g)) <= 1e-13 * scale:
-                ok = True
-                break
-            H = np.array([[_eval_terms(hess[i][k], x) for k in range(n)]
-                          for i in range(n)])
-            try:
-                step = np.linalg.solve(H, -g)
-            except np.linalg.LinAlgError:
-                break
-            x = x + step
-            if not np.all(np.isfinite(x.view(float))) or np.max(np.abs(x)) > 1e8:
-                break
-        if not ok:
-            continue
-        residual = float(np.max(np.abs(g))) / scale   # g and scale were taken at x
-        if residual < keep:
-            n_converged += 1
-            raw_values.append((complex(_eval_terms(terms, x)), residual))
+    raw_values, n_converged = _newton_search(
+        _monomial_terms(spec, lam), spec.n_vars, n_starts, min(1e-9, tol), seed)
 
     # deterministic merge: sort, cluster values closer than an 1e-8 blend
     raw_values.sort(key=lambda t: (round(t[0].real, 12), round(t[0].imag, 12)))
@@ -198,8 +244,14 @@ def equation_holds(spec: PolySpec, report: CriticalReport, tol: float = 1e-9) ->
     |s^h - c·λ^r| < tol·max(1, |s|^h)."""
     rel = analyze(spec)
     w = complex(rel.c) * report.lambda_value ** rel.r
-    return not any(abs(s ** rel.h - w) >= tol * max(1.0, abs(s) ** rel.h)
-                   for s, _ in report.found_values)
+    return not any(_equation_fails(s, rel.h, w, tol) for s, _ in report.found_values)
+
+
+def _equation_fails(s: complex, h: int, w: complex, tol: float) -> bool:
+    try:
+        return abs(s ** h - w) >= tol * max(1.0, abs(s) ** h)
+    except OverflowError:
+        return True   # |s|^h beyond the float range: far from every root of s^h = w
 
 
 def check_singular_equation(spec: PolySpec, lambda_value: complex,

@@ -29,12 +29,23 @@ JSON_JOBS = [pytest.param(job, marks=pytest.mark.slow) if job in SLOW_JOBS else 
              and "--format json" in job]
 
 
-@pytest.mark.parametrize("job", JSON_JOBS)
-def test_json_output_is_byte_identical_to_reference(capsys, monkeypatch, job):
+def _check_reference_bytes(capsys, monkeypatch, job):
     monkeypatch.chdir(SPEC_DIR.parent)
     code, out, _ = run_cli(capsys, *job.split())
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == REFERENCE[job]
+
+
+@pytest.mark.parametrize("job", JSON_JOBS)
+def test_json_output_is_byte_identical_to_reference(capsys, monkeypatch, job):
+    _check_reference_bytes(capsys, monkeypatch, job)
+
+
+# all five verify-critical jobs, text and JSON
+@pytest.mark.parametrize("job", sorted(job for job in REFERENCE
+                                       if job.startswith("verify-critical ")))
+def test_verify_critical_output_is_byte_identical_to_reference(capsys, monkeypatch, job):
+    _check_reference_bytes(capsys, monkeypatch, job)
 
 
 # `ode --format json` stdout sha256 at h far beyond the shipped specs' h ≤ 15,
@@ -223,6 +234,26 @@ def test_verify_critical_refuses_an_empty_check(capsys, flags):
     code, out, err = run_cli(capsys, "verify-critical", str(SPEC_DIR / "e2.json"), *flags)
     assert code == 2 and out == ""
     assert err.count("\n") == 1 and err.startswith("error: ")
+
+
+def test_verify_critical_refuses_too_many_starts_up_front(capsys, monkeypatch):
+    calls = _count_calls(monkeypatch, "critical_values", [cli, critical])
+    code, out, err = run_cli(capsys, "verify-critical", str(SPEC_DIR / "e2.json"),
+                             "--starts", str(cli.MAX_STARTS + 1))
+    assert code == 2 and out == "" and not calls
+    assert err.count("\n") == 1 and str(cli.MAX_STARTS) in err
+
+
+# x^a + y^3 + λxy: critical values found far out overflow s^h (a = 10, 14, 20)
+# or the scale |x|^(deg-1) of a diverging start (a = 60)
+@pytest.mark.parametrize("a", [10, 14, 20, 60])
+def test_verify_critical_survives_float_overflow(capsys, tmp_path, a):
+    spec = tmp_path / f"x{a}y3.json"
+    spec.write_text(json.dumps({"nvars": 2, "monomials": [[a, 0], [0, 3]],
+                                "lambda_monomial": [1, 1], "mu": [0, 0]}))
+    code, out, err = run_cli(capsys, "verify-critical", str(spec))
+    assert code in (0, 1) and "internal error" not in err
+    assert "singular-value equation satisfied: " in out
 
 
 def test_closed_stdout_is_not_bad_input():

@@ -1,8 +1,15 @@
+import json
+import random
 from fractions import Fraction
+from unittest import mock
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from gaussmanin import cyclic_symmetric_spec
+from conftest import random_spec
+from gaussmanin import critical, cyclic_symmetric_spec
 from gaussmanin.critical import (
     CriticalReport,
     check_singular_equation,
@@ -67,3 +74,64 @@ def test_report_json_roundtrip(e2):
 def test_predicted_root_count(e61):
     report = critical_values(e61, 1.0, n_starts=20)
     assert len(report.predicted) == 15
+
+
+# The Newton search as it ran on numpy scalars: the reference that the
+# power-table search must match bit for bit
+def _eval_terms(term_list, x):
+    out = 0.0 + 0.0j
+    for c, e in term_list:
+        v = c
+        for xi, ei in zip(x, e):
+            if ei:
+                v *= xi ** ei
+        out += v
+    return out
+
+
+def _reference_search(terms, n, n_starts, keep, seed):
+    grad = critical._gradient_terms(terms, n)
+    hess = [critical._gradient_terms(g, n) for g in grad]
+    max_deg = max(sum(e) for _, e in terms)
+    rng = np.random.default_rng(seed)
+    scales = (0.5, 1.0, 2.0, 4.0)
+    raw_values = []
+    n_converged = 0
+    for start in range(n_starts):
+        radius = scales[start % len(scales)]
+        x = radius * (rng.uniform(-1, 1, n) + 1j * rng.uniform(-1, 1, n))
+        ok = False
+        for _ in range(80):
+            g = np.array([_eval_terms(gi, x) for gi in grad])
+            scale = max(1.0, float(np.max(np.abs(x))) ** max(1, max_deg - 1))
+            if np.max(np.abs(g)) <= 1e-13 * scale:
+                ok = True
+                break
+            H = np.array([[_eval_terms(hess[i][k], x) for k in range(n)]
+                          for i in range(n)])
+            try:
+                step = np.linalg.solve(H, -g)
+            except np.linalg.LinAlgError:
+                break
+            x = x + step
+            if not np.all(np.isfinite(x.view(float))) or np.max(np.abs(x)) > 1e8:
+                break
+        if not ok:
+            continue
+        residual = float(np.max(np.abs(g))) / scale
+        if residual < keep:
+            n_converged += 1
+            raw_values.append((complex(_eval_terms(terms, x)), residual))
+    return raw_values, n_converged
+
+
+@settings(max_examples=30, deadline=None)
+@given(spec_seed=st.integers(0, 2 ** 32 - 1), seed=st.integers(0, 2 ** 32 - 1),
+       lam=st.sampled_from([1, -2, 1.5, 1 + 0.5j]), n_starts=st.integers(1, 40))
+def test_power_table_search_matches_the_numpy_scalar_loop(spec_seed, seed, lam, n_starts):
+    spec = random_spec(random.Random(spec_seed), max_vars=4, max_entry=5)
+    report = critical_values(spec, lam, n_starts=n_starts, seed=seed)
+    with mock.patch.object(critical, "_newton_search", _reference_search):
+        expected = critical_values(spec, lam, n_starts=n_starts, seed=seed)
+    # json.dumps prints each float by its shortest round-trip repr
+    assert json.dumps(report.to_json()) == json.dumps(expected.to_json())

@@ -266,16 +266,18 @@ def _sympy_poly(p: UniPoly):
 
 @settings(max_examples=100, deadline=None)
 @given(_polynomials())
-def test_rational_roots_and_coprime_split_match_sympy(p):
+def test_coprime_split_and_rational_roots_properties(p):
     monic = p.monic()
-    _, factors = _sympy_poly(monic).factor_list()
-    factors = [(UniPoly([Fraction(int(c.p), int(c.q)) for c in reversed(f.all_coeffs())]).monic(), m)
-               for f, m in factors]
-    # the roots of the linear factors: sympy.roots itself can raise ValueError
-    # (sympy 1.14, on a quadratic factor whose discriminant has ~150 digits)
-    assert rational_roots(p) == sorted((-f[0], m) for f, m in factors if f.degree == 1)
-    expected = sorted((f ** m).coeffs for f, m in factors)
-    assert sorted(piece.coeffs for piece in coprime_split(monic)) == expected
+    pieces = coprime_split(monic)
+    assert math.prod(pieces, start=UniPoly.const(Fraction(1))) == monic
+    assert all(piece.is_monic() for piece in pieces)
+    for i, u in enumerate(pieces):
+        for v in pieces[i + 1:]:
+            s, t = bezout(u, v)
+            assert s * u + t * v == UniPoly.const(Fraction(1))
+    for root, m in rational_roots(p):
+        assert (p % UniPoly.from_roots([root] * m)).is_zero()
+        assert not (p % UniPoly.from_roots([root] * (m + 1))).is_zero()
 
 
 def test_rational_roots_when_every_table_prime_divides_the_leading_coefficient():
@@ -336,3 +338,22 @@ def test_binomial_class_factors_match_sympy(p):
 def test_unipoly_negative_power_is_refused():
     with pytest.raises(ValueError, match="negative exponent"):
         UniPoly((1, 1)) ** -1
+
+
+@pytest.mark.parametrize("v", [Fraction(1), Fraction(-3, 2)])
+def test_cyclotomic_split_matches_sympy_up_to_h_60(v):
+    # x^h - v^h splits into v^phi(e)·Phi_e(x/v) over e | h, each Phi_e built over Z
+    for h in range(1, 61):
+        p = UniPoly.x_power(h) - UniPoly.const(v ** h)
+        _, factors = _sympy_poly(p).factor_list()
+        expected = sorted(
+            UniPoly([Fraction(int(c.p), int(c.q)) for c in reversed(f.all_coeffs())]).monic().coeffs
+            for f, _ in factors)
+        assert sorted(piece.coeffs for piece in coprime_split(p)) == expected
+
+
+def test_cyclotomic_split_of_x_1680_minus_1():
+    # 40 divisors: the pieces and their product check run on integer coefficients
+    pieces = coprime_split(UniPoly.x_power(1680) - UniPoly.const(Fraction(1)))
+    divisors = [e for e in range(1, 1681) if 1680 % e == 0]
+    assert sorted(p.degree for p in pieces) == sorted(int(sympy.totient(e)) for e in divisors)
