@@ -484,42 +484,21 @@ def _prime_divisors(n: int) -> list[int]:
     return out + [n] if n > 1 else out
 
 
-def _cyclotomic(e: int) -> list[int]:
-    """The integer coefficients of Phi_e, ascending.
-
-    Phi_e = prod over d | e of (x^d - 1)^mu(e/d): the factors with mu = 1 are
-    multiplied first, so each division by x^d - 1 that follows is exact.
-    """
-    primes = _prime_divisors(e)
-    up, down = [], []
-    for mask in range(1 << len(primes)):
-        s = math.prod(p for k, p in enumerate(primes) if mask >> k & 1)
-        (down if mask.bit_count() % 2 else up).append(e // s)
-    q = [1]
-    for d in up:   # q·(x^d - 1)
-        r = [0] * d + q
-        for i, c in enumerate(q):
-            r[i] -= c
-        q = r
-    for d in down:   # r = q/(x^d - 1), from q = r·x^d - r: r_i = r_{i-d} - q_i
-        r = [0] * (len(q) - d)
-        for i in range(len(r)):
-            r[i] = (r[i - d] if i >= d else 0) - q[i]
-        q = r
-    return q
-
-
 def _binomial_factors(h: int, w: Fraction) -> list[UniPoly]:
     """The monic irreducible factors of x^h - w over Q, for w != 0."""
     v = _rational_root(w, h)
     if v is not None:
         # x^h - v^h is the product of v^phi(e)·Phi_e(x/v) over e | h
-        out = []
+        cyclotomic: dict[int, UniPoly] = {}
         for e in range(1, h + 1):
             if h % e == 0:
-                phi = _cyclotomic(e)
-                out.append(UniPoly(c * v ** (len(phi) - 1 - k) for k, c in enumerate(phi)))
-        return out
+                phi = UniPoly.x_power(e) - UniPoly.const(Fraction(1))
+                for k, f in cyclotomic.items():
+                    if e % k == 0:
+                        phi = phi // f
+                cyclotomic[e] = phi
+        return [UniPoly(c * v ** (f.degree - k) for k, c in enumerate(f.coeffs))
+                for f in cyclotomic.values()]
     # Capelli (Lang, Algebra, VI Thm. 9.1): x^h - w is irreducible unless w is
     # a p-th power for a prime p | h, or 4 | h and w is in -4·Q^4
     if all(_rational_root(w, p) is None for p in _prime_divisors(h)) and \
@@ -570,31 +549,9 @@ def coprime_split(p: UniPoly) -> list[UniPoly]:
         raise ValueError("coprime_split needs a monic polynomial")
     pieces = sorted((f ** m for f, m in _factor(p)),
                     key=lambda f: (abs(Fraction(f[0])), tuple(Fraction(c) for c in f.coeffs)))
-    # the exact check on integer numerators: n_p/m_p = prod(n_f/m_f)
-    num, den = [1], 1
-    for f in pieces:
-        n, m = _numerators(f)
-        num, den = _int_poly_mul(num, n), den * m
-    n, m = _numerators(p)
-    if [c * m for c in num] != [c * den for c in n]:
+    if math.prod(pieces, start=UniPoly.const(Fraction(1))) != p:
         raise InternalError("the pieces of coprime_split do not multiply back to p")
     return pieces
-
-
-def _numerators(f: UniPoly) -> tuple[list[int], int]:
-    """Integer coefficients n and a denominator m > 0 with f = n/m."""
-    m = math.lcm(*(c.denominator for c in f.coeffs))   # an int is its own numerator
-    return [c.numerator * (m // c.denominator) for c in f.coeffs], m
-
-
-def _int_poly_mul(a: list[int], b: list[int]) -> list[int]:
-    out = [0] * (len(a) + len(b) - 1)
-    b_terms = [(j, c) for j, c in enumerate(b) if c]
-    for i, c in enumerate(a):
-        if c:
-            for j, d in b_terms:
-                out[i + j] += c * d
-    return out
 
 
 # ---------------------------------------------------------------------------
