@@ -25,7 +25,7 @@ from .ode import singular_values, to_differential_operator
 
 
 MAX_ORDER = 2000   # largest d+h accepted: every output grows with it
-MAX_STARTS = 10_000   # most Newton starts accepted: about 12 s on quintic
+MAX_STARTS = 10_000   # most Newton starts accepted: about 1.2 s on quintic
 
 
 def _fmt_tuple(xs) -> str:

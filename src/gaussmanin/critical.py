@@ -99,24 +99,61 @@ def _compile(term_lists):
 
 
 def _power_table(x, powers):
-    """x_i^k for every (i, k) in powers, as Python complex.
+    """x_i^k on every row of x for each (i, k) in powers, as (rows, real parts,
+    imaginary parts).
 
-    Each power is numpy's scalar power on the complex128 element: for k >= 100
-    CPython's complex ** k takes another algorithm and can differ in the last bit.
+    np.power on a column gives the bits of numpy's scalar power on each
+    element: for k >= 100 CPython's complex ** k takes another algorithm and
+    can differ in the last bit.
     """
-    xs = list(x)
-    return [complex(xs[i] ** k) for i, k in powers]
+    table = [np.power(x[:, i], k) for i, k in powers]
+    return len(x), [t.real for t in table], [t.imag for t in table]
 
 
 def _evaluate(term_list, table):
-    """Sum of c·x_i^k·... over a compiled term list, in list and variable order."""
-    out = 0j
+    """Sum of c·x_i^k·... over a compiled term list on every row of the table.
+
+    Real and imaginary parts are summed as Python complex arithmetic does it,
+    in list and variable order: (a·b).real = ar·br − ai·bi and
+    (a·b).imag = ar·bi + ai·br, every product and sum rounded on its own.
+    """
+    rows, re, im = table
+    out_r, out_i = np.zeros(rows), np.zeros(rows)
     for c, factors in term_list:
-        v = c
+        vr, vi = c.real, c.imag
         for j in factors:
-            v *= table[j]
-        out += v
-    return out
+            vr, vi = vr * re[j] - vi * im[j], vr * im[j] + vi * re[j]
+        out_r += vr
+        out_i += vi
+    return out_r, out_i
+
+
+def _solve(H, rhs):
+    """The Newton steps H⁻¹·rhs row by row, and the mask of the singular rows.
+
+    One stacked solve still runs LAPACK once per matrix, but it raises for the
+    whole batch when any matrix is singular; then the rows are solved one by one.
+    """
+    try:
+        return np.linalg.solve(H, rhs[..., None])[..., 0], np.zeros(len(H), bool)
+    except np.linalg.LinAlgError:
+        pass
+    step = np.zeros_like(rhs)
+    singular = np.zeros(len(H), bool)
+    for j in range(len(H)):
+        try:
+            step[j] = np.linalg.solve(H[j], rhs[j])
+        except np.linalg.LinAlgError:
+            singular[j] = True
+    return step, singular
+
+
+def _scale(x_max: float, p: int) -> float:
+    """max(1, x_max^p), or inf when x_max^p is beyond the float range."""
+    try:
+        return max(1.0, x_max ** p)
+    except OverflowError:
+        return math.inf
 
 
 def _predicted_roots(h: int, w: complex) -> tuple[complex, ...]:
@@ -132,11 +169,13 @@ def _newton_search(terms, n: int, n_starts: int, keep: float, seed: int):
     """Newton's method on ∇f = 0 from n_starts random starts.
 
     Returns the (critical value, scaled residual) pairs of the starts that
-    converged with a residual below keep, and their number.  Every step
-    evaluates the gradient and the Hessian from one table of the powers
-    x_i^k that their terms use.
+    converged with a residual below keep, in start order, and their number.
+    All live starts step together as the rows of one array; each step
+    evaluates the gradient and the Hessian from one table of the powers x_i^k
+    that their terms use, and a row leaves once it converged or diverged.
     """
     max_deg = max(sum(e) for _, e in terms)
+    p = max(1, max_deg - 1)
     grad_terms = _gradient_terms(terms, n)
     hess_terms = [(i, k, t) for i, g in enumerate(grad_terms)
                   for k, t in enumerate(_gradient_terms(g, n)) if t]   # nonzero entries
@@ -145,46 +184,42 @@ def _newton_search(terms, n: int, n_starts: int, keep: float, seed: int):
     hess = [(i, k, t) for (i, k, _), t in zip(hess_terms, compiled[n:])]
     (f_terms,), f_powers = _compile([terms])
 
-    rng = np.random.default_rng(seed)
-    scales = (0.5, 1.0, 2.0, 4.0)
-    raw_values = []
-    n_converged = 0
-    for start in range(n_starts):
-        radius = scales[start % len(scales)]
-        x = radius * (rng.uniform(-1, 1, n) + 1j * rng.uniform(-1, 1, n))
-        x_max = np.abs(x).max()
-        ok = False
+    # one draw of n real and then n imaginary parts per start, in start order
+    u = np.random.default_rng(seed).uniform(-1, 1, (n_starts, 2, n))
+    radius = np.resize((0.5, 1.0, 2.0, 4.0), n_starts)[:, None]
+    x = radius * (u[:, 0] + 1j * u[:, 1])
+    start = np.arange(n_starts)
+    x_max = np.abs(x).max(axis=1)
+    found = []   # (start, x, scaled residual) of the rows that converged
+    with np.errstate(over="ignore", invalid="ignore"):
         for _ in range(80):
             table = _power_table(x, powers)
-            g = np.array([_evaluate(gi, table) for gi in grad])
-            try:
-                scale = max(1.0, float(x_max) ** max(1, max_deg - 1))
-            except OverflowError:
-                break   # |x|^(deg-1) beyond the float range: the start diverged
-            g_max = np.abs(g).max()
-            if g_max <= 1e-13 * scale:
-                ok = True
-                break
-            H = [[0j] * n for _ in range(n)]
+            g = np.empty(x.shape, complex)
+            for i, t in enumerate(grad):
+                g.real[:, i], g.imag[:, i] = _evaluate(t, table)
+            scale = np.array([_scale(v, p) for v in x_max.tolist()])
+            in_range = scale < math.inf   # else |x|^(deg-1) overflowed: diverged
+            g_max = np.abs(g).max(axis=1)
+            done = in_range & (g_max <= 1e-13 * scale)
+            found.append((start[done], x[done], g_max[done] / scale[done]))
+            live = in_range & ~done
+            H = np.zeros((len(x), n, n), complex)
             for i, k, t in hess:
-                H[i][k] = _evaluate(t, table)
-            try:
-                step = np.linalg.solve(np.array(H), -g)
-            except np.linalg.LinAlgError:
+                H.real[:, i, k], H.imag[:, i, k] = _evaluate(t, table)
+            step, singular = _solve(H[live], -g[live])
+            start, x = start[live], x[live] + step
+            x_max = np.abs(x).max(axis=1)
+            live = ~singular & np.isfinite(x.view(float)).all(axis=1) & (x_max <= 1e8)
+            start, x, x_max = start[live], x[live], x_max[live]
+            if not len(x):
                 break
-            x = x + step
-            if not np.isfinite(x.view(float)).all():
-                break
-            x_max = np.abs(x).max()
-            if x_max > 1e8:
-                break
-        if not ok:
-            continue
-        residual = float(g_max) / scale   # g and scale were taken at x
-        if residual < keep:
-            n_converged += 1
-            raw_values.append((_evaluate(f_terms, _power_table(x, f_powers)), residual))
-    return raw_values, n_converged
+        start, x, residual = (np.concatenate(a) for a in zip(*found))
+        kept = np.flatnonzero(residual < keep)
+        kept = kept[np.argsort(start[kept])]
+        re, im = _evaluate(f_terms, _power_table(x[kept], f_powers))
+    raw_values = [(complex(a, b), r) for a, b, r
+                  in zip(re.tolist(), im.tolist(), residual[kept].tolist())]
+    return raw_values, len(raw_values)
 
 
 def critical_values(spec: PolySpec, lambda_value: complex, n_starts: int = 200,

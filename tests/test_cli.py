@@ -244,15 +244,20 @@ def test_verify_critical_refuses_too_many_starts_up_front(capsys, monkeypatch):
     assert err.count("\n") == 1 and str(cli.MAX_STARTS) in err
 
 
-# x^a + y^3 + λxy: critical values found far out overflow s^h (a = 10, 14, 20)
-# or the scale |x|^(deg-1) of a diverging start (a = 60)
-@pytest.mark.parametrize("a", [10, 14, 20, 60])
-def test_verify_critical_survives_float_overflow(capsys, tmp_path, a):
-    spec = tmp_path / f"x{a}y3.json"
-    spec.write_text(json.dumps({"nvars": 2, "monomials": [[a, 0], [0, 3]],
+# x^a + y^b + λxy: critical values found far out overflow s^h (a = 10, 14, 20)
+# or the scale |x|^(deg-1) of a diverging start (a = 60); at λ = 1/1000,
+# x^60 + y^7 overflows the powers of diverging starts, which must print no
+# numpy warning (a warning is an error here, so it would show in err)
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("a, b, lam", [
+    *(pytest.param(a, 3, "1", id=str(a)) for a in (10, 14, 20, 60)),
+    pytest.param(60, 7, "1/1000", id="x60y7-lambda-1/1000")])
+def test_verify_critical_survives_float_overflow(capsys, tmp_path, a, b, lam):
+    spec = tmp_path / f"x{a}y{b}.json"
+    spec.write_text(json.dumps({"nvars": 2, "monomials": [[a, 0], [0, b]],
                                 "lambda_monomial": [1, 1], "mu": [0, 0]}))
-    code, out, err = run_cli(capsys, "verify-critical", str(spec))
-    assert code in (0, 1) and "internal error" not in err
+    code, out, err = run_cli(capsys, "verify-critical", str(spec), "--lambda", lam)
+    assert code in (0, 1) and err == ""
     assert "singular-value equation satisfied: " in out
 
 

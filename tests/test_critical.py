@@ -125,13 +125,53 @@ def _reference_search(terms, n, n_starts, keep, seed):
     return raw_values, n_converged
 
 
-@settings(max_examples=30, deadline=None)
-@given(spec_seed=st.integers(0, 2 ** 32 - 1), seed=st.integers(0, 2 ** 32 - 1),
-       lam=st.sampled_from([1, -2, 1.5, 1 + 0.5j]), n_starts=st.integers(1, 40))
-def test_power_table_search_matches_the_numpy_scalar_loop(spec_seed, seed, lam, n_starts):
-    spec = random_spec(random.Random(spec_seed), max_vars=4, max_entry=5)
+def _assert_matches_reference(spec, lam, n_starts, seed=0):
     report = critical_values(spec, lam, n_starts=n_starts, seed=seed)
     with mock.patch.object(critical, "_newton_search", _reference_search):
         expected = critical_values(spec, lam, n_starts=n_starts, seed=seed)
     # json.dumps prints each float by its shortest round-trip repr
     assert json.dumps(report.to_json()) == json.dumps(expected.to_json())
+
+
+@settings(max_examples=30, deadline=None)
+@given(spec_seed=st.integers(0, 2 ** 32 - 1), seed=st.integers(0, 2 ** 32 - 1),
+       lam=st.sampled_from([1, -2, 1.5, 1 + 0.5j]), n_starts=st.integers(1, 200))
+def test_power_table_search_matches_the_numpy_scalar_loop(spec_seed, seed, lam, n_starts):
+    spec = random_spec(random.Random(spec_seed), max_vars=4, max_entry=5)
+    _assert_matches_reference(spec, lam, n_starts, seed)
+
+
+@pytest.mark.parametrize("lam", [1, Fraction(3, 2), -2, 1 + 0.5j])
+@pytest.mark.parametrize("name", ["e2", "e3", "e4", "quintic", "e61"])
+def test_shipped_specs_match_the_numpy_scalar_loop(request, name, lam):
+    _assert_matches_reference(request.getfixturevalue(name), lam, 200)
+
+
+def test_singular_rows_stop_alone_when_the_stacked_solve_raises(e2):
+    # a matrix with H[1][1].real < -1 counts as singular, in both searches
+    solve = np.linalg.solve
+    shapes = []
+
+    def solve_or_raise(a, b):
+        shapes.append(a.ndim)
+        if (a[..., 1, 1].real < -1).any():
+            raise np.linalg.LinAlgError("Singular matrix")
+        return solve(a, b)
+
+    with mock.patch.object(np.linalg, "solve", solve_or_raise):
+        _assert_matches_reference(e2, 1, 60)
+        report = critical_values(e2, 1, n_starts=60)
+    assert 3 in shapes and 0 < report.n_converged < 60
+
+
+def test_column_power_matches_the_numpy_scalar_power():
+    # the batched power table relies on np.power giving numpy's scalar bits
+    rng = np.random.default_rng(7)
+    modulus = 10.0 ** rng.uniform(-3, 3, 64)
+    z = modulus * np.exp(2j * np.pi * rng.uniform(0, 1, 64))
+    x = np.stack([z, z[::-1]], axis=1)   # strided columns, as in the search
+    with np.errstate(all="ignore"):
+        for k in range(1, 151):
+            column = np.power(x[:, 0], k)
+            scalar = np.array([zi ** k for zi in x[:, 0]])
+            assert column.tobytes() == scalar.tobytes(), k
