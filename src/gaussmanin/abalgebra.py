@@ -12,6 +12,7 @@ Elements are immutable; every operation is pure.
 from __future__ import annotations
 
 import math
+from collections.abc import Mapping
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -59,38 +60,68 @@ def _mul_int(x: dict, y: dict, trunc: int | None) -> dict:
     return out
 
 
-def _from_numerators(num: dict, den: int, trunc: int | None) -> "ABElement":
-    """The element with terms num/den, zero numerators dropped."""
-    return ABElement._make({key: Fraction(n, den) for key, n in num.items() if n}, trunc)
+class _Terms(Mapping):
+    """Read-only view of an element's terms, (b_power, a_power) -> Fraction."""
+
+    __slots__ = ("_num", "_den")
+
+    def __init__(self, num: dict, den: int):
+        self._num, self._den = num, den
+
+    def __getitem__(self, key) -> Fraction:
+        return Fraction(self._num[key], self._den)
+
+    def __iter__(self):
+        return iter(self._num)
+
+    def __len__(self):
+        return len(self._num)
 
 
 class ABElement:
     """Element of A (or of its b-adic truncation A / b^N·A).
 
-    terms maps (b_power, a_power) to a rational coefficient; zero
-    coefficients are never stored.  trunc is None for exact elements; a
-    truncated element drops every term with b_power >= trunc.  λ never
-    enters an element: the operator carries it in the scalar c·λ^r.
+    The terms are num/den: num maps (b_power, a_power) to a nonzero integer
+    and den is a positive integer with gcd(den, *num.values()) = 1 (den = 1
+    for zero), so equal elements store equal (num, den).  terms is the
+    Fraction view of the same coefficients.  trunc is None for exact
+    elements; a truncated element drops every term with b_power >= trunc.
+    λ never enters an element: the operator carries it in the scalar c·λ^r.
     """
 
-    __slots__ = ("terms", "trunc")
+    __slots__ = ("num", "den", "trunc")
 
     def __init__(self, terms=None, trunc: int | None = None):
-        tt: dict[tuple[int, int], Fraction] = {}
+        coeffs = {}
         if terms:
             for (k, i), c in terms.items():
                 if trunc is not None and k >= trunc:
                     continue
-                if not isinstance(c, Fraction):
-                    if not isinstance(c, int):
-                        raise TypeError(f"coefficient {c!r} is not rational")
-                    c = Fraction(c)
+                if not isinstance(c, (int, Fraction)):
+                    raise TypeError(f"coefficient {c!r} is not rational")
                 if c:
-                    tt[(k, i)] = c
-        self.terms = tt
+                    coeffs[(k, i)] = c
+        # the lcm of reduced denominators is already prime to the numerators
+        den = math.lcm(*(c.denominator for c in coeffs.values()))
+        self.num = {key: c.numerator * (den // c.denominator) for key, c in coeffs.items()}
+        self.den = den
         self.trunc = trunc
 
     # -- constructors --------------------------------------------------------
+
+    @classmethod
+    def from_numerators(cls, num: dict, den: int, trunc: int | None = None) -> "ABElement":
+        """The element num/den for integer numerators at b-powers below trunc
+        and den > 0; zero numerators are dropped and the fraction reduced."""
+        num = {key: n for key, n in num.items() if n}
+        if den != 1:
+            g = math.gcd(den, *num.values())
+            if g != 1:
+                num = {key: n // g for key, n in num.items()}
+                den //= g
+        e = cls.__new__(cls)
+        e.num, e.den, e.trunc = num, den, trunc
+        return e
 
     @classmethod
     def zero(cls, trunc: int | None = None) -> "ABElement":
@@ -123,103 +154,104 @@ class ABElement:
 
     # -- degrees ---------------------------------------------------------------
 
+    @property
+    def terms(self) -> Mapping:
+        """The coefficients as normalized Fractions, built on access."""
+        return _Terms(self.num, self.den)
+
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self.num
 
     @property
     def a_degree(self) -> int:
-        if not self.terms:
+        if not self.num:
             raise ZeroElement("a_degree of zero")
-        return max(i for (_, i) in self.terms)
+        return max(i for (_, i) in self.num)
 
     @property
     def b_order(self) -> int:
-        if not self.terms:
+        if not self.num:
             raise ZeroElement("b_order of zero")
-        return min(k for (k, _) in self.terms)
+        return min(k for (k, _) in self.num)
 
     @property
     def ab_valuation(self) -> int:
-        if not self.terms:
+        if not self.num:
             raise ZeroElement("valuation of zero")
-        return min(k + i for (k, i) in self.terms)
+        return min(k + i for (k, i) in self.num)
 
     @property
     def ab_degree(self) -> int:
         """Total (a,b)-degree; only meaningful for exact (finite) elements."""
-        if not self.terms:
+        if not self.num:
             raise ZeroElement("degree of zero")
-        return max(k + i for (k, i) in self.terms)
+        return max(k + i for (k, i) in self.num)
 
     def is_homogeneous(self) -> bool:
-        if not self.terms:
+        if not self.num:
             return True
-        degs = {k + i for (k, i) in self.terms}
+        degs = {k + i for (k, i) in self.num}
         return len(degs) == 1
 
     def coeff(self, b_power: int, a_power: int) -> Fraction:
-        return self.terms.get((b_power, a_power), _ZERO)
+        n = self.num.get((b_power, a_power))
+        return Fraction(n, self.den) if n else _ZERO
 
     def a_coefficient(self, a_power: int) -> dict[int, Fraction]:
         """The coefficient of a^i as a map b_power -> coefficient."""
-        return {k: c for (k, i), c in self.terms.items() if i == a_power}
+        return {k: Fraction(n, self.den) for (k, i), n in self.num.items() if i == a_power}
 
     def is_monic_in_a(self) -> bool:
         """Leading a-coefficient is exactly 1 (b-free)."""
-        if not self.terms:
+        if not self.num:
             return False
         d = self.a_degree
-        col = self.a_coefficient(d)
-        return set(col) == {0} and col[0] == 1
+        col = {k: n for (k, i), n in self.num.items() if i == d}
+        return set(col) == {0} and col[0] == self.den
 
     def numerators(self) -> tuple[dict[tuple[int, int], int], int]:
-        """(num, den) with terms = num/den, den the lcm of the denominators."""
-        den = math.lcm(*(c.denominator for c in self.terms.values()))
-        return {key: c.numerator * (den // c.denominator) for key, c in self.terms.items()}, den
+        """(num, den) with terms = num/den; den is the lcm of the denominators.
+        This is the stored representation: callers must not change it."""
+        return self.num, self.den
 
     # -- ring operations ---------------------------------------------------------
 
-    @staticmethod
-    def _make(terms, trunc) -> "ABElement":
-        e = ABElement.__new__(ABElement)
-        e.terms = terms
-        e.trunc = trunc
-        return e
+    def _combine(self, other: "ABElement", sign: int) -> "ABElement":
+        """self + sign·other on the lcm of the two denominators."""
+        trunc = _min_trunc(self.trunc, other.trunc)
+        den = math.lcm(self.den, other.den)
+        out: dict[tuple[int, int], int] = {}
+        get = out.get
+        for e, scale in ((self, den // self.den), (other, sign * (den // other.den))):
+            for key, n in e.num.items():
+                if trunc is None or key[0] < trunc:
+                    out[key] = get(key, 0) + n * scale
+        return ABElement.from_numerators(out, den, trunc)
 
     def __add__(self, other):
         if not isinstance(other, ABElement):
             return NotImplemented
-        trunc = _min_trunc(self.trunc, other.trunc)
-        out = dict(self.terms)
-        for key, c in other.terms.items():
-            s = out.get(key)
-            s = c if s is None else s + c
-            if s:
-                out[key] = s
-            elif key in out:
-                del out[key]
-        if trunc is not None:
-            out = {key: c for key, c in out.items() if key[0] < trunc}
-        return self._make(out, trunc)
-
-    def __neg__(self):
-        return self._make({key: -c for key, c in self.terms.items()}, self.trunc)
+        return self._combine(other, 1)
 
     def __sub__(self, other):
         if not isinstance(other, ABElement):
             return NotImplemented
-        return self + (-other)
+        return self._combine(other, -1)
+
+    def __neg__(self):
+        return ABElement.from_numerators({key: -n for key, n in self.num.items()},
+                                         self.den, self.trunc)
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
-            if not other:
-                return self._make({}, self.trunc)
-            return self._make({key: v * other for key, v in self.terms.items()}, self.trunc)
+            return ABElement.from_numerators(
+                {key: n * other.numerator for key, n in self.num.items()},
+                self.den * other.denominator, self.trunc)
         if not isinstance(other, ABElement):
             return NotImplemented
         trunc = _min_trunc(self.trunc, other.trunc)
-        (x, dx), (y, dy) = self.numerators(), other.numerators()
-        return _from_numerators(_mul_int(x, y, trunc), dx * dy, trunc)
+        return ABElement.from_numerators(_mul_int(self.num, other.num, trunc),
+                                         self.den * other.den, trunc)
 
     def __rmul__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -241,64 +273,67 @@ class ABElement:
     def __eq__(self, other):
         if not isinstance(other, ABElement):
             return NotImplemented
-        return self.terms == other.terms and self.trunc == other.trunc
+        return (self.num, self.den, self.trunc) == (other.num, other.den, other.trunc)
 
     def __hash__(self):
         return hash((frozenset(self.terms.items()), self.trunc))
 
     # -- truncation and gradings ---------------------------------------------------
 
+    def with_trunc(self, order: int | None) -> "ABElement":
+        """The same terms below b^order, marked truncated at order (None: exact)."""
+        return ABElement.from_numerators(
+            {key: n for key, n in self.num.items() if order is None or key[0] < order},
+            self.den, order)
+
     def truncate(self, order: int) -> "ABElement":
         """Drop terms with b_power >= order and mark the element truncated."""
         if order < 1:
             raise TruncationTooSmall(f"truncation order {order} < 1")
-        return ABElement({key: c for key, c in self.terms.items() if key[0] < order},
-                         trunc=order)
-
-    def without_trunc_mark(self) -> "ABElement":
-        return self._make(dict(self.terms), None)
+        return self.with_trunc(order)
 
     def shift_b(self, q: int) -> "ABElement":
         """Multiply by b^q on the left (q may be negative if valuations allow)."""
-        if q < 0 and any(k + q < 0 for (k, _) in self.terms):
+        if q < 0 and any(k + q < 0 for (k, _) in self.num):
             raise ValueError("negative b-shift below order 0")
         trunc = None if self.trunc is None else self.trunc + q
-        return self._make({(k + q, i): c for (k, i), c in self.terms.items()}, trunc)
+        return ABElement.from_numerators({(k + q, i): n for (k, i), n in self.num.items()},
+                                         self.den, trunc)
 
     def component(self, degree: int) -> "ABElement":
         """Homogeneous component of the given (a,b)-degree."""
-        return self._make(
-            {key: c for key, c in self.terms.items() if key[0] + key[1] == degree},
-            self.trunc)
+        return ABElement.from_numerators(
+            {key: n for key, n in self.num.items() if key[0] + key[1] == degree},
+            self.den, self.trunc)
 
     def initial_form(self) -> "ABElement":
         """The homogeneous component of lowest (a,b)-degree."""
-        if not self.terms:
+        if not self.num:
             if self.trunc is not None:
                 raise TruncationTooSmall("element vanishes to the stored order")
             raise ZeroElement("initial form of zero")
         v = self.ab_valuation
         if self.trunc is not None and self.trunc <= v:
             raise TruncationTooSmall("truncation hides the initial form")
-        return self.component(v).without_trunc_mark()
+        return self.component(v).with_trunc(None)
 
     def mod_b(self) -> UniPoly:
         """The class modulo b·A as a polynomial in a."""
-        if not self.terms:
+        if not self.num:
             return UniPoly()
         d = self.a_degree
         cs = [_ZERO] * (d + 1)
-        for (k, i), c in self.terms.items():
+        for (k, i), n in self.num.items():
             if k == 0:
-                cs[i] = c
+                cs[i] = Fraction(n, self.den)
         return UniPoly(cs)
 
     # -- io ---------------------------------------------------------------------
 
     def to_json(self) -> dict:
         # a coefficient is written as the λ-polynomial [[0, "p/q"]]
-        terms = [{"b": k, "a": i, "c": [[0, str(c)]]}
-                 for (k, i), c in sorted(self.terms.items())]
+        terms = [{"b": k, "a": i, "c": [[0, str(Fraction(n, self.den))]]}
+                 for (k, i), n in sorted(self.num.items())]
         return {"trunc": self.trunc, "terms": terms}
 
     @classmethod
@@ -315,7 +350,7 @@ class ABElement:
         return cls(terms, data.get("trunc"))
 
     def __str__(self):
-        if not self.terms:
+        if not self.num:
             return "0"
         def key(item):
             (k, i), _ = item
@@ -339,7 +374,7 @@ class ABElement:
         return s
 
     def __repr__(self):
-        return f"ABElement({self.terms!r}, trunc={self.trunc!r})"
+        return f"ABElement({dict(self.terms)!r}, trunc={self.trunc!r})"
 
 
 # ---------------------------------------------------------------------------
@@ -363,8 +398,8 @@ def right_divide(p: ABElement, dvs: ABElement) -> tuple[ABElement, ABElement]:
     lead = lead_col[0]
     trunc = _min_trunc(p.trunc, dvs.trunc)
     quot = ABElement.zero(trunc)
-    rem = ABElement(dict(p.terms), trunc)
-    while rem.terms and rem.a_degree >= e:
+    rem = p.with_trunc(trunc)
+    while rem.num and rem.a_degree >= e:
         i = rem.a_degree
         col = rem.a_coefficient(i)
         t = ABElement({(k, i - e): c / lead for k, c in col.items()}, trunc)
@@ -384,7 +419,7 @@ def theta_k(p: ABElement, k: int) -> ABElement:
     """
     if p.trunc is not None:
         raise ValueError("theta_k needs a finite (untruncated) element")
-    if not p.terms:
+    if not p.num:
         return p
     amax = p.a_degree
     gen = ABElement.linear(Fraction(1), Fraction(-k))  # a - k·b
@@ -430,7 +465,7 @@ class HomogChain:
             factor, scale = ABElement.linear(eta, theta).numerators()
             out = _mul_int(factor, out, None)
             den *= scale
-        return _from_numerators(out, den, None)
+        return ABElement.from_numerators(out, den)
 
     def to_json(self) -> list:
         return [[str(e), str(t)] for e, t in self.factors]

@@ -240,6 +240,7 @@ def critical_values(spec: PolySpec, lambda_value: complex, n_starts: int = 200,
     if not (math.isfinite(tol) and tol > 0):
         raise PreconditionError(f"tolerance must be a finite positive number, got {tol}")
     rel = analyze(spec)
+    predicted = _predicted_roots(rel.h, _singular_value_target(rel, lam))
     raw_values, n_converged = _newton_search(
         _monomial_terms(spec, lam), spec.n_vars, n_starts, min(1e-9, tol), seed)
 
@@ -258,8 +259,6 @@ def critical_values(spec: PolySpec, lambda_value: complex, n_starts: int = 200,
         if not merged:
             values.append((v, res))
 
-    w = complex(rel.c) * lam ** rel.r
-    predicted = _predicted_roots(rel.h, w)
     mismatch = 0.0
     for v, _ in values:
         best = min((abs(v - p) / max(1.0, abs(p)) for p in predicted), default=float("inf"))
@@ -278,8 +277,20 @@ def equation_holds(spec: PolySpec, report: CriticalReport, tol: float = 1e-9) ->
     """True iff every nonzero critical value s in the report satisfies
     |s^h - c·λ^r| < tol·max(1, |s|^h)."""
     rel = analyze(spec)
-    w = complex(rel.c) * report.lambda_value ** rel.r
+    w = _singular_value_target(rel, report.lambda_value)
     return not any(_equation_fails(s, rel.h, w, tol) for s, _ in report.found_values)
+
+
+def _singular_value_target(rel, lam: complex) -> complex:
+    """w = c·λ^r as a complex float; PreconditionError when it is not finite."""
+    try:
+        w = complex(rel.c) * lam ** rel.r
+    except OverflowError:
+        w = complex(math.inf)
+    if not cmath.isfinite(w):
+        raise PreconditionError(f"c·λ^{rel.r} at λ = {lam} is beyond the float range; "
+                                f"choose a λ of smaller modulus")
+    return w
 
 
 def _equation_fails(s: complex, h: int, w: complex, tol: float) -> bool:

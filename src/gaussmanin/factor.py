@@ -9,8 +9,10 @@ Two engines:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import zip_longest
 
 from .abalgebra import ABElement, right_divide
 from .engine import GMOperator
@@ -101,13 +103,57 @@ class FactorizationResult:
                    int(data["trunc"]))
 
 
+def _b_layer_numerators(p: ABElement, k: int) -> list[int]:
+    """Numerators over p.den of the coefficient of b^k, a polynomial in a."""
+    row = {i: n for (kk, i), n in p.num.items() if kk == k}
+    return [row.get(i, 0) for i in range(max(row, default=-1) + 1)]
+
+
 def _b_layer(p: ABElement, k: int) -> UniPoly:
     """Coefficient of b^k as a rational polynomial in a."""
-    cs = {i: c for (kk, i), c in p.terms.items() if kk == k}
-    if not cs:
-        return UniPoly()
-    top = max(cs)
-    return UniPoly([cs.get(i, Fraction(0)) for i in range(top + 1)])
+    return UniPoly([Fraction(n, p.den) for n in _b_layer_numerators(p, k)])
+
+
+def _cleared(p: UniPoly) -> tuple[list[int], int]:
+    """(N, D) with p = N/D for integers N and the lcm D of the denominators."""
+    cs = [Fraction(c) for c in p.coeffs]
+    den = math.lcm(*(c.denominator for c in cs))
+    return [c.numerator * (den // c.denominator) for c in cs], den
+
+
+def _int_mul(x: list[int], y: list[int]) -> list[int]:
+    """The product of two integer coefficient lists; zeros cost nothing."""
+    if not x or not y:
+        return []
+    out = [0] * (len(x) + len(y) - 1)
+    ys = [(j, c) for j, c in enumerate(y) if c]
+    for i, c in enumerate(x):
+        if c:
+            for j, d in ys:
+                out[i + j] += c * d
+    return out
+
+
+def _int_divmod(num: list[int], den: int, f: list[int]) -> tuple[list[int], list[int], int]:
+    """(Q, R, D) with num/den = (Q/D)·(f/δ) + R/D and deg R < deg f, where
+    f/δ is a monic polynomial and δ = f[-1] > 0.  Each step scales by δ, so
+    division by an integral monic polynomial (δ = 1) keeps den as it is."""
+    m, delta = len(f) - 1, f[-1]
+    tail = [(i, c) for i, c in enumerate(f[:-1]) if c]
+    r, q = list(num), [0] * max(0, len(num) - m)
+    for j in range(len(r) - 1, m - 1, -1):
+        c = r[j]
+        if not c:
+            continue
+        if delta != 1:
+            q = [x * delta for x in q]
+            r = [x * delta for x in r]
+            den *= delta
+        q[j - m] = c * delta
+        for i, fc in tail:
+            r[j - m + i] -= c * fc
+        r[j] = 0
+    return q, r[:m], den
 
 
 def _lift_pair(p: ABElement, f1: UniPoly, f2: UniPoly, order: int) -> tuple[ABElement, ABElement]:
@@ -117,8 +163,10 @@ def _lift_pair(p: ABElement, f1: UniPoly, f2: UniPoly, order: int) -> tuple[ABEl
     u·f2 + v·f1 = e_k; corrections commute with a up to higher b-order
     because a·b^k = b^k·a + k·b^(k+1).  Each layer updates the defect by its
     corrections: p − (L+du)(R+dv) = (p − L·R) − du·R − L·dv − du·dv.
+    u and v are computed on integer numerators over one denominator each.
     """
     _, t = bezout(f1, f2)
+    (t_num, t_den), (f1_num, _), (f2_num, f2_den) = _cleared(t), _cleared(f1), _cleared(f2)
     left = ABElement.from_poly_in_a(f1, order)
     right = ABElement.from_poly_in_a(f2, order)
     defect = p - left * right
@@ -127,14 +175,17 @@ def _lift_pair(p: ABElement, f1: UniPoly, f2: UniPoly, order: int) -> tuple[ABEl
             break
         if defect.b_order < k:
             raise InternalError(f"the lift defect has a term below b^{k}")
-        e_k = _b_layer(defect, k)
-        if e_k.is_zero():
+        e_k = _b_layer_numerators(defect, k)
+        if not e_k:
             continue
         # u·f2 = e_k mod f1 via the inverse t of f2 modulo f1
-        u = (e_k * t) % f1
-        v = (e_k - u * f2) // f1
-        du = ABElement({(k, i): c for i, c in enumerate(u.coeffs)}, order)
-        dv = ABElement({(k, i): c for i, c in enumerate(v.coeffs)}, order)
+        _, u, u_den = _int_divmod(_int_mul(e_k, t_num), defect.den * t_den, f1_num)
+        # v = (e_k − u·f2) / f1, over the denominator u_den·f2_den
+        scale = u_den * f2_den // defect.den
+        rest = [e * scale - x for e, x in zip_longest(e_k, _int_mul(u, f2_num), fillvalue=0)]
+        v, _, v_den = _int_divmod(rest, u_den * f2_den, f1_num)
+        du = ABElement.from_numerators({(k, i): c for i, c in enumerate(u)}, u_den, order)
+        dv = ABElement.from_numerators({(k, i): c for i, c in enumerate(v)}, v_den, order)
         defect -= du * right + left * dv + du * dv
         left, right = left + du, right + dv
     if not (p - left * right).is_zero():
@@ -301,9 +352,9 @@ def split_irregular(p: ABElement, order: int | None = None) -> IrregularSplit:
 
     bound = order + d + h
     work_trunc = bound + 1
-    pw = ABElement(dict(p.terms), None).truncate(work_trunc)
+    pw = p.with_trunc(work_trunc)
     X = ABElement.term(q, 0, rho, trunc=work_trunc)
-    W = ABElement(dict(p_base.terms), trunc=work_trunc)
+    W = p_base.with_trunc(work_trunc)
     residual = X * W - pw
     for n in range(d, bound):
         # all degrees <= n must already be resolved
@@ -317,8 +368,8 @@ def split_irregular(p: ABElement, order: int | None = None) -> IrregularSplit:
             eta = rem.shift_b(-q) * (Fraction(1) / rho)
         else:
             eta = ABElement.zero(work_trunc)
-        xi = ABElement(dict(xi.terms), trunc=work_trunc)
-        eta = ABElement(dict(eta.terms), trunc=work_trunc)
+        xi = xi.with_trunc(work_trunc)
+        eta = eta.with_trunc(work_trunc)
         residual = residual + xi * W + X * eta + xi * eta
         X = X + xi
         W = W + eta
@@ -328,7 +379,7 @@ def split_irregular(p: ABElement, order: int | None = None) -> IrregularSplit:
     left = X.truncate(order)
     right = W.truncate(order)
     Z = left - ABElement.term(q, 0, rho, trunc=order)
-    Q = right - ABElement(dict(p_base.terms), trunc=order)
+    Q = right - p_base.with_trunc(order)
     if not Z.is_zero() and (Z.a_degree != q + h or Z.ab_valuation < q + 1):
         raise InternalError("the irregular factor's tail Z has the wrong shape")
     if not Q.is_zero() and (Q.a_degree > d - q - 1 or Q.ab_valuation < d - q + 1):

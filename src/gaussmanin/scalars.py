@@ -329,11 +329,13 @@ class UniPoly:
         rem = list(self.coeffs)
         d = other.degree
         lead = other.lead
+        tail = [(i, oc) for i, oc in enumerate(other.coeffs[:-1]) if oc]
         while len(rem) - 1 >= d and rem:
             c = rem[-1] / lead
             k = len(rem) - 1 - d
             q[k] = c
-            for i, oc in enumerate(other.coeffs):
+            rem[-1] = 0
+            for i, oc in tail:
                 rem[k + i] -= c * oc
             while rem and rem[-1] == 0:
                 rem.pop()

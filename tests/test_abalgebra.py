@@ -1,13 +1,14 @@
 import dataclasses
 import random
 from fractions import Fraction
-from math import comb
+from math import comb, gcd, lcm
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import random_chain, random_element, random_monic_chain
+from fraction_element import FractionElement
 from gaussmanin.abalgebra import (
     ABElement,
     HomogChain,
@@ -305,3 +306,103 @@ def test_text_form():
 def test_negative_power_is_refused():
     with pytest.raises(ValueError, match="negative exponent"):
         ABElement.linear(Fraction(1), Fraction(0)) ** -1
+
+
+# ---------------------------------------------------------------------------
+# Integer numerators over one denominator against the Fraction-per-term oracle
+# ---------------------------------------------------------------------------
+
+# denominator 1, small mixed denominators, and 60-bit numerators and denominators
+_oracle_coefficients = st.one_of(
+    st.just(Fraction(0)),
+    st.integers(-9, 9).map(Fraction),
+    st.fractions(min_value=-60, max_value=60, max_denominator=15),
+    st.builds(Fraction, st.integers(-2 ** 60, 2 ** 60), st.integers(1, 2 ** 60)))
+_oracle_terms = st.dictionaries(st.tuples(st.integers(0, 6), st.integers(0, 6)),
+                                _oracle_coefficients, max_size=7)
+_oracle_truncs = st.one_of(st.none(), st.integers(1, 9))
+
+
+def _pair(terms, trunc):
+    return ABElement(terms, trunc), FractionElement(terms, trunc)
+
+
+def _agrees(new, old) -> bool:
+    """Same element, same normalized Fractions, hash, JSON and text; and the
+    storage invariant: nonzero numerators, gcd(den, *num) = 1, den = 1 for zero."""
+    num, den = new.numerators()
+    return (isinstance(new, ABElement) and isinstance(old, FractionElement)
+            and dict(new.terms) == old.terms and new.trunc == old.trunc
+            and all(type(c) is Fraction for c in new.terms.values())
+            and hash(new) == hash(old) and new.to_json() == old.to_json()
+            and str(new) == str(old)
+            and all(num.values()) and den > 0 and gcd(den, *num.values()) == 1
+            and den == lcm(*(c.denominator for c in old.terms.values())))
+
+
+def _outcome(fn, *args):
+    try:
+        return "value", fn(*args)
+    except Exception as exc:   # both storages must raise the same error
+        return "raise", type(exc)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_oracle_terms, _oracle_truncs, _oracle_terms, _oracle_truncs, st.booleans())
+def test_ring_operations_match_the_fraction_oracle(xt, xtrunc, yt, ytrunc, cancel):
+    x, ox = _pair(xt, xtrunc)
+    if cancel:   # y = z − x, so x + y and y + x cancel x's terms
+        z, oz = _pair(yt, ytrunc)
+        y, oy = z - x, oz - ox
+    else:
+        y, oy = _pair(yt, ytrunc)
+    assert _agrees(x, ox) and _agrees(y, oy)
+    assert _agrees(x + y, ox + oy) and _agrees(y + x, oy + ox)
+    assert _agrees(x - y, ox - oy) and _agrees(x - x, ox - ox)
+    assert _agrees(-x, -ox)
+    assert _agrees(x * y, ox * oy) and _agrees(y * x, oy * ox)
+    assert (x == y) == (ox == oy) and (x + y - y == x) == (ox + oy - oy == ox)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_oracle_terms, _oracle_truncs, _oracle_coefficients, st.integers(-3, 3),
+       st.integers(0, 3), st.integers(1, 9), st.integers(-2, 3), st.integers(0, 12))
+def test_unary_operations_match_the_fraction_oracle(terms, trunc, scalar, small, n, order, q,
+                                                    degree):
+    x, ox = _pair(terms, trunc)
+    assert _agrees(x * scalar, ox * scalar) and _agrees(scalar * x, scalar * ox)
+    assert _agrees(x * small, ox * small)
+    assert _agrees(x ** n, ox ** n)
+    assert _agrees(x.truncate(order), ox.truncate(order))
+    assert _agrees(x.component(degree), ox.component(degree))
+    for mine, theirs in ((_outcome(x.shift_b, q), _outcome(ox.shift_b, q)),
+                         (_outcome(x.initial_form), _outcome(ox.initial_form))):
+        if mine[0] == "value":
+            assert theirs[0] == "value" and _agrees(mine[1], theirs[1])
+        else:
+            assert mine == theirs
+    old_class, new_class = ox.mod_b(), x.mod_b()
+    assert new_class == old_class and new_class.to_json() == old_class.to_json()
+    for k in range(8):
+        assert x.a_coefficient(k) == ox.a_coefficient(k)
+        for i in range(8):
+            assert x.coeff(k, i) == ox.coeff(k, i) and type(x.coeff(k, i)) is Fraction
+    assert x.is_monic_in_a() == ox.is_monic_in_a()
+    assert x.is_homogeneous() == ox.is_homogeneous()
+    assert ABElement.from_json(x.to_json()) == x
+
+
+def test_fraction_oracle_edge_elements():
+    zero, ozero = _pair({}, None)
+    assert zero.numerators() == ({}, 1) and _agrees(zero, ozero)
+    one, oone = _pair({(0, 0): 1}, 4)
+    assert _agrees(one * 0, oone * 0) and (one * 0).numerators() == ({}, 1)
+    # a sum whose terms cancel to zero, and one whose denominator cancels
+    x, ox = _pair({(0, 1): Fraction(1, 3), (2, 0): Fraction(5, 2 ** 60 + 1)}, None)
+    assert _agrees(x - x, ox - ox) and (x - x).numerators() == ({}, 1)
+    half, ohalf = _pair({(1, 1): Fraction(1, 2)}, None)
+    assert _agrees(half + half, ohalf + ohalf) and (half + half).numerators()[1] == 1
+    # monic in a with a b-tail over another denominator, and a non-monic lead
+    monic, omonic = _pair({(0, 2): 1, (1, 0): Fraction(1, 3)}, None)
+    assert monic.is_monic_in_a() and omonic.is_monic_in_a()
+    assert not (monic * 2).is_monic_in_a() and not (omonic * 2).is_monic_in_a()

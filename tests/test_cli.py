@@ -261,6 +261,18 @@ def test_verify_critical_survives_float_overflow(capsys, tmp_path, a, b, lam):
     assert "singular-value equation satisfied: " in out
 
 
+def test_verify_critical_refuses_an_overflowing_c_lambda_power(capsys, tmp_path, monkeypatch):
+    # x^30 + y^7 + λxy has r = 210: c·1000^210 is no complex float
+    spec = tmp_path / "x30y7.json"
+    spec.write_text(json.dumps({"nvars": 2, "monomials": [[30, 0], [0, 7]],
+                                "lambda_monomial": [1, 1], "mu": [0, 0]}))
+    searches = []
+    monkeypatch.setattr(critical, "_newton_search", lambda *a: searches.append(a))
+    code, out, err = run_cli(capsys, "verify-critical", str(spec), "--lambda", "1000")
+    assert code == 2 and out == "" and not searches
+    assert err.count("\n") == 1 and err.startswith("error: ") and "float range" in err
+
+
 def test_closed_stdout_is_not_bad_input():
     proc = subprocess.Popen(
         [sys.executable, "-m", "gaussmanin.cli", "intdep", str(SPEC_DIR / "e3.json"),
@@ -405,6 +417,20 @@ def test_factor_json_bytes_at_h_107(tmp_path):
     assert proc.returncode == 0, proc.stderr
     assert hashlib.sha256(proc.stdout).hexdigest() == \
         "6fbf7a251579164342c9931893c78c61ef46e3772b10f0066a29fda9c9a4cd8e"
+
+
+def test_factor_json_keeps_an_int_zero_in_the_bernstein_polynomial(capsys, tmp_path):
+    # bernstein_polynomial writes an int 0 as "0" and a Fraction 0 as []; this
+    # spec's Bernstein polynomial holds an int 0, so its bytes pin the zero types
+    spec = tmp_path / "x5y4.json"
+    spec.write_text(json.dumps({"nvars": 2, "monomials": [[5, 4], [4, 3]],
+                                "lambda_monomial": [4, 1], "mu": [0, 0]}))
+    code, out, _ = run_cli(capsys, "factor", str(spec), "--lambda=-67108864/285311670611",
+                           "--prec", "12", "--format", "json")
+    assert code == 0
+    assert json.loads(out)["zero_block"]["bernstein_poly"][0] == "0"
+    assert hashlib.sha256(out.encode()).hexdigest() == \
+        "ebe3cb72a75a71bbbc23381f692c801e24a6ed25d43eecefe4135050c95b0b4e"
 
 
 def test_missing_file_exits_2(capsys):
