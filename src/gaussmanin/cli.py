@@ -13,6 +13,7 @@ import json
 import os
 import sys
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii as _json_str
 from pathlib import Path
 
 from . import selftest as selftest_mod
@@ -26,6 +27,99 @@ from .ode import singular_values, to_differential_operator
 
 MAX_ORDER = 2000   # largest d+h accepted: every output grows with it
 MAX_STARTS = 10_000   # most Newton starts accepted: about 1.2 s on quintic
+# write_json streams this many levels of containers item by item and joins
+# each deeper subtree into one string: at 4 each intdep term is one piece, and
+# streaming deeper only adds write calls (a quarter slower on e61's relation)
+STREAM_DEPTH = 4
+
+
+def _json_key(k) -> str:
+    if isinstance(k, str):
+        return _json_str(k)
+    if k is None or isinstance(k, (int, float)):   # bool is an int
+        return _json_str(_json_text(k, ""))
+    raise TypeError(f"keys must be str, int, float, bool or None, not {k.__class__.__name__}")
+
+
+def _json_list(o, nl: str) -> str:
+    if not o:
+        return "[]"
+    inner = nl + "  "
+    return "[" + inner + ("," + inner).join([_json_text(v, inner) for v in o]) + nl + "]"
+
+
+def _json_dict(o, nl: str) -> str:
+    if not o:
+        return "{}"
+    inner = nl + "  "
+    return "{" + inner + ("," + inner).join(
+        [(_json_str(k) if type(k) is str else _json_key(k)) + ": " + _json_text(v, inner)
+         for k, v in o.items()]) + nl + "}"
+
+
+def _json_text(o, nl: str) -> str:
+    """o as json.dumps(o, indent=2) writes it where nl is the newline and
+    indent of its own line."""
+    t = type(o)
+    if t is str:
+        return _json_str(o)
+    if t is int:
+        return int.__repr__(o)
+    if t is list or t is tuple:
+        return _json_list(o, nl)
+    if t is dict:
+        return _json_dict(o, nl)
+    # subclasses and the other leaves, in json's order: bool before int
+    if isinstance(o, str):
+        return _json_str(o)
+    if o is None:
+        return "null"
+    if o is True:
+        return "true"
+    if o is False:
+        return "false"
+    if isinstance(o, int):
+        return int.__repr__(o)
+    if isinstance(o, float):
+        if o != o:
+            return "NaN"
+        if o in (float("inf"), -float("inf")):
+            return "Infinity" if o > 0 else "-Infinity"
+        return float.__repr__(o)
+    if isinstance(o, (list, tuple)):
+        return _json_list(o, nl)
+    if isinstance(o, dict):
+        return _json_dict(o, nl)
+    raise TypeError(f"Object of type {o.__class__.__name__} is not JSON serializable")
+
+
+def _json_stream(o, nl: str, depth: int, write) -> None:
+    is_list = isinstance(o, (list, tuple))
+    if not (is_list or isinstance(o, dict)) or not o:
+        write(_json_text(o, nl))
+        return
+    inner = nl + "  "
+    write("[" if is_list else "{")
+    sep = inner
+    for item in o if is_list else o.items():
+        head, value = (sep, item) if is_list else (sep + _json_key(item[0]) + ": ", item[1])
+        if isinstance(value, (list, tuple, dict)) and depth > 1:
+            write(head)
+            _json_stream(value, inner, depth - 1, write)
+        else:
+            write(head + _json_text(value, inner))
+        sep = "," + inner
+    write(nl + ("]" if is_list else "}"))
+
+
+def write_json(obj, write=None) -> None:
+    """Write json.dumps(obj, indent=2) + "\n", byte for byte, to write
+    (sys.stdout.write, looked up at call time, by default) piece by piece,
+    so that the whole text is never held at once."""
+    if write is None:
+        write = sys.stdout.write
+    _json_stream(obj, "\n", STREAM_DEPTH, write)
+    write("\n")
 
 
 def _fmt_tuple(xs) -> str:
@@ -57,15 +151,18 @@ def _cmd_analyze(args) -> int:
         paths = sorted(base.glob("*.json"))
         if not paths:
             raise PreconditionError(f"no .json spec files in {base}")
+    if args.format == "json":
+        # every spec is read and analyzed before the first byte goes out
+        objs = [{"file": str(path), **analyze(_load_spec(path)).to_json()} for path in paths]
+        for obj in objs:
+            write_json(obj)
+        return 0
     out = []
     for path in paths:
         spec = _load_spec(path)
-        if args.format == "json":
-            out.append(json.dumps({"file": str(path), **analyze(spec).to_json()}, indent=2))
-        else:
-            if args.batch:
-                out.append(f"== {path}")
-            out.extend(_analyze_text(spec))
+        if args.batch:
+            out.append(f"== {path}")
+        out.extend(_analyze_text(spec))
     print("\n".join(out))
     return 0
 
@@ -96,7 +193,7 @@ def _cmd_operator(args) -> int:
     spec = _load_spec(args.spec, args.mu)
     op = build_operator(spec)
     if args.format == "json":
-        print(json.dumps(op.to_json(), indent=2))
+        write_json(op.to_json())
     else:
         lam = "λ" if op.r == 1 else f"λ^{op.r}"
         print(f"f = {spec.poly_str()}")
@@ -115,11 +212,11 @@ def _cmd_ode(args) -> int:
     diff = to_differential_operator(op)
     h, rhs = singular_values(op)
     if args.format == "json":
-        print(json.dumps({
+        write_json({
             "order": diff.order,
             "operator": diff.to_json(),
             "singular_equation": {"h": h, "rhs": rhs.to_json()},
-        }, indent=2))
+        })
     else:
         print(f"order {diff.order} operator (D = d/ds):")
         print(str(diff))
@@ -140,7 +237,7 @@ def _cmd_factor(args) -> int:
     lam = _parse_lambda(args.lam)
     report = regular_quotient_pipeline(op, lam, order=args.prec)
     if args.format == "json":
-        print(json.dumps(report.to_json(), indent=2))
+        write_json(report.to_json())
     else:
         print("\n".join(report.summary_lines()))
     return 0
@@ -156,7 +253,7 @@ def _cmd_intdep(args) -> int:
         payload = relation.to_json()
         if args.verify:
             payload["verified"] = ok
-        print(json.dumps(payload, indent=2))
+        write_json(payload)
     else:
         rel = analyze(spec)
         print(f"monic integral-dependence relation of degree {rel.d + rel.h} in f:")
@@ -182,7 +279,7 @@ def _cmd_verify_critical(args) -> int:
     if args.format == "json":
         payload = report.to_json()
         payload["equation_satisfied"] = ok
-        print(json.dumps(payload, indent=2))
+        write_json(payload)
     else:
         print("\n".join(report.table_lines()))
         print(f"singular-value equation satisfied: {'yes' if ok else 'NO'}")

@@ -25,7 +25,7 @@ REFERENCE = json.loads((SPEC_DIR.parent / "perfbench" / "reference.json").read_t
 SLOW_JOBS = {"intdep specs/e61.json --format json"}
 JSON_JOBS = [pytest.param(job, marks=pytest.mark.slow) if job in SLOW_JOBS else job
              for job in sorted(REFERENCE)
-             if job.split()[0] in ("operator", "ode", "factor", "intdep")
+             if job.split()[0] in ("analyze", "operator", "ode", "factor", "intdep")
              and "--format json" in job]
 
 
@@ -65,6 +65,39 @@ def test_ode_json_bytes_at_large_h(tmp_path, a, b):
                            "--format", "json"], capture_output=True, env=src_env(), timeout=30)
     assert proc.returncode == 0, proc.stderr
     assert hashlib.sha256(proc.stdout).hexdigest() == LARGE_H_ODE[a, b]
+
+
+def test_analyze_batch_json_is_each_spec_in_turn(capsys, tmp_path):
+    names = ("e2.json", "e3.json", "e4.json", "quintic.json")
+    for name in names:
+        (tmp_path / name).write_text((SPEC_DIR / name).read_text())
+    code, out, _ = run_cli(capsys, "analyze", str(tmp_path), "--batch", "--format", "json")
+    assert code == 0
+    assert out == "\n".join(
+        json.dumps({"file": str(tmp_path / name),
+                    **analyze(load_spec_file(tmp_path / name)).to_json()}, indent=2)
+        for name in names) + "\n"
+
+
+def test_analyze_batch_json_prints_nothing_before_a_bad_spec(capsys, tmp_path):
+    (tmp_path / "a.json").write_text((SPEC_DIR / "e2.json").read_text())
+    (tmp_path / "b.json").write_text((SPEC_DIR / "homog.json").read_text())
+    code, out, err = run_cli(capsys, "analyze", str(tmp_path), "--batch", "--format", "json")
+    assert code == 2 and out == ""
+    assert err.count("\n") == 1
+
+
+def test_intdep_json_bytes_at_d_plus_h_130(tmp_path):
+    # x^10 + y^13 + λxy: 2.8 MB in under a second, where the e61 pin takes 41 MB
+    # and seconds; stdout sha256 recorded when cli printed json.dumps(indent=2)
+    spec = tmp_path / "x10y13.json"
+    spec.write_text(json.dumps({"nvars": 2, "monomials": [[10, 0], [0, 13]],
+                                "lambda_monomial": [1, 1], "mu": [0, 0]}))
+    proc = subprocess.run([sys.executable, "-m", "gaussmanin.cli", "intdep", str(spec),
+                           "--format", "json"], capture_output=True, env=src_env(), timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert hashlib.sha256(proc.stdout).hexdigest() == \
+        "806113c8283c22bc232eaaad195823a18db752f3e0c4b99205860d584181bf87"
 
 
 def test_analyze_e61(capsys):

@@ -13,3 +13,15 @@ def test_no_plain_assert_outside_selftest():
              for node in ast.walk(ast.parse(path.read_text(), str(path)))
              if isinstance(node, ast.Assert)]
     assert found == []
+
+
+def test_no_indented_json_dumps():
+    # every --format json goes through cli.write_json, which keeps the bytes of
+    # json.dumps(indent=2) and streams them
+    found = [f"{path.name}:{node.lineno}"
+             for path in sorted(SRC.glob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text(), str(path)))
+             if isinstance(node, ast.Call)
+             and getattr(node.func, "attr", getattr(node.func, "id", None)) in ("dump", "dumps")
+             and any(kw.arg == "indent" for kw in node.keywords)]
+    assert found == []
