@@ -20,13 +20,14 @@ from . import selftest as selftest_mod
 from .engine import PolySpec, analyze, build_operator, load_spec_file, weights
 from .errors import GaussManinError, PreconditionError
 from .factor import regular_quotient_pipeline
-from .intdep import dependence_relation, factored_relation_str, verify_identity
+from .intdep import dependence_relation, factored_relation_str, verify_cost, verify_identity
 from .critical import critical_values, equation_holds
 from .ode import singular_values, to_differential_operator
 
 
 MAX_ORDER = 2000   # largest d+h accepted: every output grows with it
 MAX_STARTS = 10_000   # most Newton starts accepted: about 1.2 s on quintic
+MAX_VERIFY_COST = 10_000_000   # largest intdep.verify_cost for --verify: at most 10.3 s
 # write_json streams this many levels of containers item by item and joins
 # each deeper subtree into one string: at 4 each intdep term is one piece, and
 # streaming deeper only adds write calls (a quarter slower on e61's relation)
@@ -245,6 +246,10 @@ def _cmd_factor(args) -> int:
 
 def _cmd_intdep(args) -> int:
     spec = _load_spec(args.spec)
+    cost = verify_cost(spec) if args.verify else 0
+    if cost > MAX_VERIFY_COST:
+        raise PreconditionError(f"{args.spec}: the --verify cost bound {cost} exceeds "
+                                f"the supported maximum {MAX_VERIFY_COST}")
     relation = None
     if args.format == "json" or args.expanded or args.verify:
         relation = dependence_relation(spec)

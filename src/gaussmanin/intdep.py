@@ -10,8 +10,10 @@ coefficients in the u_i that vanishes identically.
 from __future__ import annotations
 
 import math
+from collections.abc import Mapping
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 from .engine import PolySpec, analyze
 from .errors import InternalError
@@ -87,36 +89,114 @@ def _mul(p: _Poly, q: _Poly, acc: _Poly | None = None) -> _Poly:
     return {k: c for k, c in out.items() if c}
 
 
-def _pack(exps, base: int) -> int:
-    return sum(e * base ** i for i, e in enumerate(exps))
+# A relation's key for f^k·u^e is k + Σ_i e_i·base^(n-i): f is the lowest
+# digit and u_0 the highest, so within one power of f the order of the keys
+# is the order of the u-exponent tuples.
 
+class _FPower(Mapping):
+    """The coefficient of one power of f, read-only: u-exponent tuple ->
+    LaurentLambda, in the order of the tuples.  Values are built on access;
+    len and iteration build none."""
 
-def _unpack(key: int, base: int, length: int) -> tuple[int, ...]:
-    digits = []
-    for _ in range(length):
-        key, e = divmod(key, base)
-        digits.append(e)
-    return tuple(digits)
+    __slots__ = ("_relation", "_k", "packed")
+
+    def __init__(self, relation: "DependenceRelation", k: int, keys: list[int]):
+        self._relation, self._k, self.packed = relation, k, keys
+
+    def __len__(self) -> int:
+        return len(self.packed)
+
+    def __iter__(self):
+        base, places = self._relation.base, self._relation._u_places
+        for key in self.packed:
+            yield tuple([key // p % base for p in places])
+
+    def __getitem__(self, e) -> LaurentLambda:
+        rel = self._relation
+        if len(e) != len(rel._u_places) or not all(0 <= x < rel.base for x in e):
+            raise KeyError(e)
+        key = self._k + sum(p * x for p, x in zip(rel._u_places, e))
+        coeffs = {le: nums[key] * scale
+                  for (nums, scale), le in zip(rel.parts, (0, rel.r)) if key in nums}
+        if not coeffs:
+            raise KeyError(e)
+        return LaurentLambda(coeffs)
 
 
 @dataclass(frozen=True, eq=False)
 class DependenceRelation:
-    """Monic degree-(d+h) polynomial in f over Q[u_0..u_n][λ, λ^-1]."""
+    """Monic degree-(d+h) polynomial in f over Q[u_0..u_n][λ, λ^-1].
+
+    parts = ((num_0, scale_0), (num_r, scale_r)): the coefficient of f^k·u^e
+    is num_0[key]·scale_0 + num_r[key]·scale_r·λ^r, with integer maps over
+    the packed keys above, absent keys reading 0.  `dependence_relation`
+    stores det^(d+h)·Π L^Δ and det^d·Π L^δ there; the L_j are linear and
+    homogeneous in (f, u), so the two maps are homogeneous of degrees d+h
+    and d and their keys never meet.
+    """
 
     spec: PolySpec
     degree: int
     r: int
-    # coefficient of f^k: map u-exponent tuple -> LaurentLambda
-    coefficients: tuple[dict[tuple[int, ...], LaurentLambda], ...]
+    base: int
+    parts: tuple[tuple[_Poly, Fraction], tuple[_Poly, Fraction]]
+
+    @classmethod
+    def from_coefficients(cls, spec: PolySpec, degree: int, r: int,
+                          coefficients) -> "DependenceRelation":
+        """The relation whose coefficient of f^k·u^e is coefficients[k][e], a
+        LaurentLambda in λ^0 and λ^r only."""
+        n = spec.n_vars
+        base = max([degree, *(x for coeff in coefficients for e in coeff for x in e)]) + 1
+        values: tuple[dict, dict] = ({}, {})
+        for k, coeff in enumerate(coefficients):
+            for e, c in coeff.items():
+                if k > degree or len(e) != n or min(e, default=0) < 0 or c.coeffs.keys() - {0, r}:
+                    raise ValueError(f"a term {c}·f^{k}·u^{e} in a relation of degree "
+                                     f"{degree} in {n} variables with r = {r}")
+                key = k + sum(x * base ** (n - i) for i, x in enumerate(e))
+                for le, v in c.coeffs.items():
+                    values[1 if le else 0][key] = v
+        dens = [math.lcm(*(v.denominator for v in vals.values())) for vals in values]
+        parts = tuple(({key: int(v * den) for key, v in vals.items()}, Fraction(1, den))
+                      for vals, den in zip(values, dens))
+        return cls(spec=spec, degree=degree, r=r, base=base, parts=parts)
+
+    @cached_property
+    def _u_places(self) -> list[int]:
+        """The place values of u_0, ..., u_{n-1} in a key."""
+        return [self.base ** (self.spec.n_vars - i) for i in range(self.spec.n_vars)]
+
+    @cached_property
+    def coefficients(self) -> tuple[_FPower, ...]:
+        """The coefficient of each power of f, as a read-only view on its
+        sorted keys."""
+        keys: list[list[int]] = [[] for _ in range(self.degree + 1)]
+        for key in self.parts[0][0].keys() | self.parts[1][0].keys():
+            keys[key % self.base].append(key)
+        return tuple(_FPower(self, k, sorted(ks)) for k, ks in enumerate(keys))
 
     def is_monic(self) -> bool:
-        top = self.coefficients[self.degree]
-        zero = tuple([0] * self.spec.n_vars)
-        return set(top) == {zero} and top[zero] == 1
+        (num0, s0), (num_r, _) = self.parts
+        top = self.degree   # the key of f^degree·u^0
+        return (self.coefficients[top].packed == [top] and top not in num_r
+                and num0.get(top, 0) * s0 == 1)
+
+    def _c_json(self) -> dict[int, list]:
+        """The JSON of each key's coefficient, [[λ-exponent, "p/q"], ...]."""
+        out: dict[int, list] = {}
+        for (nums, scale), le in zip(self.parts, (0, self.r)):
+            p, q = scale.numerator, scale.denominator
+            for key, a in nums.items():
+                g = math.gcd(a, q)   # scale is reduced, so gcd(a·p, q) = gcd(a, q)
+                v = [le, str(a // g * p) if g == q else f"{a // g * p}/{q // g}"]
+                out.setdefault(key, []).insert(0 if le < 0 else 1, v)   # by λ-exponent
+        return out
 
     def to_json(self) -> dict:
         rel = analyze(self.spec)
         rows = linear_forms(self.spec).to_json()
+        base, places, c = self.base, self._u_places, self._c_json()
         return {
             "degree": self.degree,
             "r": self.r,
@@ -128,20 +208,17 @@ class DependenceRelation:
             },
             "coefficients": [
                 {"f_power": k,
-                 "terms": [{"u": list(e), "c": c.to_json()}
-                           for e, c in sorted(coeff.items())]}
-                for k, coeff in enumerate(self.coefficients)
+                 "terms": [{"u": [key // p % base for p in places], "c": c[key]}
+                           for key in view.packed]}
+                for k, view in enumerate(self.coefficients)
             ],
         }
 
     @classmethod
     def from_json(cls, data, spec: PolySpec) -> "DependenceRelation":
-        coeffs = []
-        for entry in data["coefficients"]:
-            coeffs.append({tuple(t["u"]): LaurentLambda.from_json(t["c"])
-                           for t in entry["terms"]})
-        return cls(spec=spec, degree=int(data["degree"]), r=int(data["r"]),
-                   coefficients=tuple(coeffs))
+        coeffs = [{tuple(t["u"]): LaurentLambda.from_json(t["c"]) for t in entry["terms"]}
+                  for entry in data["coefficients"]]
+        return cls.from_coefficients(spec, int(data["degree"]), int(data["r"]), coeffs)
 
     def factored_str(self) -> str:
         return factored_relation_str(self.spec)
@@ -153,7 +230,7 @@ class DependenceRelation:
             if not coeff:
                 continue
             terms = []
-            for e, c in sorted(coeff.items()):
+            for e, c in coeff.items():
                 mono = "·".join(f"u{i}^{p}" if p > 1 else f"u{i}"
                                 for i, p in enumerate(e) if p)
                 cs = str(c) if c.is_constant() else f"({c})"
@@ -167,21 +244,23 @@ def dependence_relation(spec: PolySpec) -> DependenceRelation:
     """Expand the relation as a monic polynomial in f.
 
     Expansion runs over scaled integer rows (determinant times the inverse
-    matrix) so only the final normalization touches rationals.  Keys pack
-    the exponents of (f, u_0..u_n) in base d+h+1, above any exponent.
+    matrix), and the two products are stored as they come out, each with
+    one rational scale.  Keys pack the exponents of (f, u_0..u_n) in base
+    d+h+1, above any exponent.
     """
     rel = analyze(spec)
     n = spec.n_vars
     mono = spec.n_monomials
     dh, d = rel.d + rel.h, rel.d
     base = dh + 1
+    places = [1] + [base ** (n - i) for i in range(n)]   # f, u_0, ..., u_{n-1}
     det = mat_det(spec.mtilde())
     forms = []
     for j in range(mono):
         row = [rel.mtilde_inv[j][v] * det for v in range(mono)]
         if any(x.denominator != 1 for x in row):
             raise InternalError(f"det·M̃⁻¹ has a non-integer entry in row {j}")
-        forms.append({base ** v: int(x) for v, x in enumerate(row) if x})
+        forms.append({places[v]: int(x) for v, x in enumerate(row) if x})
 
     def product(vec) -> _Poly:
         poly: _Poly = {0: 1}
@@ -195,24 +274,10 @@ def dependence_relation(spec: PolySpec) -> DependenceRelation:
         if rel.Delta[j]:
             kappa_dh *= rel.eta[j] ** rel.Delta[j]
 
-    coeffs: list[dict[tuple[int, ...], LaurentLambda]] = [dict() for _ in range(dh + 1)]
-    scale_big = 1 / (det ** dh * kappa_dh)
-    for key, c in product(rel.Delta).items():        # det^(d+h) · Π L^Δ
-        exps = _unpack(key, base, n + 1)
-        coeffs[exps[0]][exps[1:]] = LaurentLambda.const(c * scale_big)
-    scale_small = -Fraction(1) / (det ** d * kappa_dh)
-    lam = LaurentLambda.monomial(rel.r)
-    for key, c in product(rel.delta).items():        # det^d · Π L^δ
-        exps = _unpack(key, base, n + 1)
-        k, e = exps[0], exps[1:]
-        cur = coeffs[k].get(e, LaurentLambda.const(0)) + lam * (c * scale_small)
-        if cur:
-            coeffs[k][e] = cur
-        elif e in coeffs[k]:
-            del coeffs[k][e]
-
-    relation = DependenceRelation(spec=spec, degree=dh, r=rel.r,
-                                  coefficients=tuple(coeffs))
+    relation = DependenceRelation(
+        spec=spec, degree=dh, r=rel.r, base=base,
+        parts=((product(rel.Delta), 1 / (det ** dh * kappa_dh)),        # det^(d+h) · Π L^Δ
+               (product(rel.delta), -1 / (det ** d * kappa_dh))))      # det^d · Π L^δ
     if not relation.is_monic():
         raise InternalError(f"the expanded relation is not monic of degree {dh} in f")
     return relation
@@ -222,19 +287,29 @@ def dependence_relation(spec: PolySpec) -> DependenceRelation:
 # Exact verification by full multivariate expansion
 # ---------------------------------------------------------------------------
 
-def _horner(terms: dict[tuple[int, ...], _Poly], values: list[_Poly]) -> _Poly:
-    """Σ c·Π values[i]^e[i] over the items (e, c) of terms, by Horner's rule
-    in the first variable and recursively in the rest."""
+def _horner(terms: dict[int, _Poly], base: int, values: list[_Poly]) -> _Poly:
+    """Σ c·Π values[i]^e_i over the items (Σ e_i·base^i, c) of terms, by
+    Horner's rule in the lowest digit and recursively in the rest."""
     if not values:
-        return terms[()]
+        return terms[0]
     groups: dict[int, dict] = {}
-    for e, c in terms.items():
-        groups.setdefault(e[0], {})[e[1:]] = c
+    for key, c in terms.items():
+        rest, k = divmod(key, base)
+        groups.setdefault(k, {})[rest] = c
     acc: _Poly = {}
     for k in range(max(groups), -1, -1):
-        inner = _horner(groups[k], values[1:]) if k in groups else None
+        inner = _horner(groups[k], base, values[1:]) if k in groups else None
         acc = _mul(acc, values[0], inner)
     return acc
+
+
+def verify_cost(spec: PolySpec) -> int:
+    """A bound on the work of `verify_identity`, before any expansion: the
+    relation's dense term count times the largest x-exponent it reaches."""
+    rel = analyze(spec)
+    n, dh = spec.n_vars, rel.d + rel.h
+    largest = max(max(col) for col in [*spec.monomials, spec.lambda_monomial])
+    return (math.comb(dh + n + 1, n + 1) + math.comb(rel.d + n + 1, n + 1)) * dh * largest
 
 
 def verify_identity(relation: DependenceRelation) -> bool:
@@ -242,23 +317,25 @@ def verify_identity(relation: DependenceRelation) -> bool:
     expanded relation and check that the result is exactly zero.
 
     Keys pack the x-exponents below the λ-exponent, in a base above the
-    largest x-exponent any term can reach.  Coefficients are cleared to
-    integers by their common denominator, which keeps the zero test exact.
+    largest x-exponent any term can reach.  The two integer maps are scaled
+    to one common denominator, which keeps the zero test exact.
     """
     spec = relation.spec
     n = spec.n_vars
     cols = list(spec.monomials) + [spec.lambda_monomial]
-    terms = {(k, *e): c for k, coeff in enumerate(relation.coefficients)
-             for e, c in coeff.items()}
-    top = max(sum(e) for e in terms)
+    top = max(k + sum(e) for k, coeff in enumerate(relation.coefficients) for e in coeff)
     base = top * max(max(col) for col in cols) + 1
     lam_key = base ** n
-    keys = [_pack(col, base) for col in cols]
+    keys = [sum(e * base ** i for i, e in enumerate(col)) for col in cols]
     keys[-1] += lam_key
     f = dict.fromkeys(keys, 1)
     us = [{key: col[i] for key, col in zip(keys, cols) if col[i]} for i in range(n)]
 
-    den = math.lcm(*(v.denominator for c in terms.values() for v in c.coeffs.values()))
-    packed = {e: {le * lam_key: int(v * den) for le, v in c.coeffs.items()}
-              for e, c in terms.items()}
-    return not _horner(packed, [f] + us)
+    den = math.lcm(*(scale.denominator for _, scale in relation.parts))
+    packed: dict[int, _Poly] = {}
+    for (nums, scale), le in zip(relation.parts, (0, relation.r)):
+        m = scale.numerator * (den // scale.denominator)
+        for key, a in nums.items():
+            packed.setdefault(key, {})[le * lam_key] = a * m
+    # a relation key's digits from the lowest are those of f, u_{n-1}, ..., u_0
+    return not _horner(packed, relation.base, [f] + us[::-1])

@@ -84,7 +84,7 @@ def element_from_bernstein(b: UniPoly, d: int) -> ABElement:
     """Inverse of bernstein_polynomial: the monic homogeneous element of
     degree d with (-b)^d·B(-b^{-1}a) equal to it."""
     flip = UniPoly((Fraction(-1), Fraction(-1)))
-    e = b.compose(flip)
+    e = b.to_rational().compose(flip)   # b's LaurentLambda coefficients are constants
     if d % 2:
         e = -e
     return from_euler(e, d)
@@ -194,8 +194,8 @@ def to_differential_operator(g: GMOperator) -> DiffOp:
                 LaurentLambda.monomial(g.r, -g.c * Fraction(b, beta[-1]))]
         parts[m] = UniPoly(p)
     out = DiffOp.build(parts)
-    expect = UniPoly.x_power(d + h, as_laurent(1)) - UniPoly.x_power(d, g.lambda_part())
-    if out.coefficient(d + h).map_coeffs(as_laurent) != expect:
+    top = out.coefficient(d + h)
+    if top.degree != d + h or top[d + h] != 1 or top[d] != LaurentLambda.monomial(g.r, -g.c):
         raise InternalError(f"top coefficient is not s^{d + h} - c·λ^r·s^{d}")
     return out
 

@@ -11,6 +11,7 @@ from conftest import ROOT_PRIMES, SPEC_DIR, run_python, src_env
 from gaussmanin import cli, critical, intdep
 from gaussmanin.cli import main
 from gaussmanin.engine import RelationData, GMOperator, analyze, build_operator, load_spec_file
+from gaussmanin.intdep import verify_cost
 from gaussmanin.ode import DiffOp
 
 
@@ -98,6 +99,43 @@ def test_intdep_json_bytes_at_d_plus_h_130(tmp_path):
     assert proc.returncode == 0, proc.stderr
     assert hashlib.sha256(proc.stdout).hexdigest() == \
         "806113c8283c22bc232eaaad195823a18db752f3e0c4b99205860d584181bf87"
+
+
+# stdout sha256 recorded while each relation coefficient was stored as a
+# LaurentLambda: a relation with r = -1 beside e3's r = -12, and the first
+# pins of --expanded
+R_NEGATIVE = {"nvars": 2, "monomials": [[1, 1], [5, 2]], "lambda_monomial": [2, 5],
+              "mu": [0, 0]}   # d+h = 7
+INTDEP_PINS = {
+    ("r-1", "--format", "json"): "5d5764fa7d5632bf95a9c655e22eac393a8102c0d3427f4ea78fc63e22595d1b",
+    ("r-1", "--expanded"): "cfedf93a66093bd419c534b572cd69ae6f0a2fded62f4bd14ec4d735d8a58b9b",
+    ("e3", "--expanded"): "1abe20aa278a8f96156a21bd95357d4617c0dbf8015c33fb7efcee9c4a842db7",
+}
+
+
+@pytest.mark.parametrize("name, flags", [(job[0], job[1:]) for job in INTDEP_PINS])
+def test_intdep_bytes_at_negative_r_and_expanded(capsys, tmp_path, name, flags):
+    spec = tmp_path / "r-1.json"
+    spec.write_text(json.dumps(R_NEGATIVE))
+    path = spec if name == "r-1" else SPEC_DIR / f"{name}.json"
+    code, out, _ = run_cli(capsys, "intdep", str(path), *flags)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == INTDEP_PINS[(name, *flags)]
+
+
+def test_intdep_verify_refuses_e61_up_front():
+    # e61's expanded check ran for over 200 s; the refusal comes before any expansion
+    proc = run_python("-m", "gaussmanin.cli", "intdep", str(SPEC_DIR / "e61.json"),
+                      "--verify", timeout=20)
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert proc.stderr.count("\n") == 1
+    assert "858275600" in proc.stderr and str(cli.MAX_VERIFY_COST) in proc.stderr
+
+
+def test_verify_cost_of_the_shipped_specs(e2, e3, e4, quintic, e61):
+    costs = [verify_cost(spec) for spec in (e2, e3, e4, quintic, e61)]
+    assert costs == [2520, 218400, 15120, 9450, 858275600]
+    assert max(costs[:4]) <= cli.MAX_VERIFY_COST < costs[4]
 
 
 def test_analyze_e61(capsys):

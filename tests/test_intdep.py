@@ -1,4 +1,3 @@
-import dataclasses
 import random
 from fractions import Fraction
 
@@ -7,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import FAMILY_ALPHAS, random_spec
+from laurent_arith import Laurent
 from gaussmanin import analyze, cyclic_symmetric_spec
 from gaussmanin.intdep import (
     DependenceRelation,
@@ -106,6 +106,7 @@ def test_relation_json_roundtrip(e2):
     back = DependenceRelation.from_json(relation.to_json(), e2)
     assert back.degree == relation.degree and back.r == relation.r
     assert back.coefficients == relation.coefficients
+    assert back.to_json() == relation.to_json()
 
 
 def test_verify_identity_random_specs():
@@ -121,7 +122,8 @@ def test_verify_identity_random_specs():
 # both moved onto packed integer keys
 # ---------------------------------------------------------------------------
 
-def _oracle_relation(spec) -> DependenceRelation:
+def _oracle_coefficients(spec) -> list[dict]:
+    """The coefficient of each power of f: u-exponent tuple -> Laurent."""
     rel = analyze(spec)
     n, mono = spec.n_vars, spec.n_monomials
     det = mat_det(spec.mtilde())
@@ -146,16 +148,22 @@ def _oracle_relation(spec) -> DependenceRelation:
         kappa_dh *= rel.eta[j] ** rel.Delta[j]
     coeffs = [{} for _ in range(dh + 1)]
     for exps, c in product(rel.Delta).items():
-        coeffs[exps[0]][exps[1:]] = LaurentLambda.const(c / (det ** dh * kappa_dh))
-    lam = LaurentLambda.monomial(rel.r)
+        coeffs[exps[0]][exps[1:]] = Laurent.const(c / (det ** dh * kappa_dh))
+    lam = Laurent.monomial(rel.r)
     for exps, c in product(rel.delta).items():
         k, e = exps[0], exps[1:]
-        cur = coeffs[k].get(e, LaurentLambda.const(0)) - lam * (c / (det ** d * kappa_dh))
+        cur = coeffs[k].get(e, Laurent.const(0)) - lam * (c / (det ** d * kappa_dh))
         if cur:
             coeffs[k][e] = cur
         else:
             coeffs[k].pop(e, None)
-    return DependenceRelation(spec=spec, degree=dh, r=rel.r, coefficients=tuple(coeffs))
+    return coeffs
+
+
+def _oracle_relation(spec) -> DependenceRelation:
+    rel = analyze(spec)
+    return DependenceRelation.from_coefficients(spec, rel.d + rel.h, rel.r,
+                                                _oracle_coefficients(spec))
 
 
 def _x_mul(p, q):
@@ -167,7 +175,7 @@ def _x_mul(p, q):
     return {k: v for k, v in out.items() if v}
 
 
-def _x_add_scaled(p, q, c: LaurentLambda):
+def _x_add_scaled(p, q, c):
     out = dict(p)
     for le, v in c.coeffs.items():
         for (l2, e2), c2 in q.items():
@@ -201,15 +209,16 @@ def _oracle_verify(relation: DependenceRelation) -> bool:
     return not acc
 
 
-def _perturbed(relation: DependenceRelation, k: int, e, delta: LaurentLambda):
+def _perturbed(relation: DependenceRelation, k: int, e, delta: Laurent):
     """relation with delta added to the coefficient of f^k·u^e."""
     coeffs = [dict(c) for c in relation.coefficients]
-    cur = coeffs[k].get(e, LaurentLambda.const(0)) + delta
+    cur = delta + coeffs[k].get(e, 0)
     if cur:
         coeffs[k][e] = cur
     else:
         coeffs[k].pop(e, None)
-    return dataclasses.replace(relation, coefficients=tuple(coeffs))
+    return DependenceRelation.from_coefficients(relation.spec, relation.degree,
+                                                relation.r, coeffs)
 
 
 def _perturbations(relation: DependenceRelation):
@@ -218,8 +227,8 @@ def _perturbations(relation: DependenceRelation):
     k, e = next((k, e) for k, coeff in enumerate(relation.coefficients)
                 for e, c in coeff.items() if relation.r in c.coeffs)
     zero = (0,) * relation.spec.n_vars
-    return [_perturbed(relation, k, e, LaurentLambda.monomial(relation.r, Fraction(1, 7))),
-            _perturbed(relation, relation.degree - 1, zero, LaurentLambda.const(1))]
+    return [_perturbed(relation, k, e, Laurent.monomial(relation.r, Fraction(1, 7))),
+            _perturbed(relation, relation.degree - 1, zero, Laurent.const(1))]
 
 
 @pytest.mark.parametrize("name", ["e2", "e3", "e4"])
@@ -233,7 +242,9 @@ def test_verify_identity_rejects_a_perturbed_relation(request, name):
 @pytest.mark.parametrize("name", ["e2", "e3", "e4", "quintic"])
 def test_packed_expansion_matches_the_tuple_oracle(request, name):
     spec = request.getfixturevalue(name)
-    assert dependence_relation(spec).coefficients == _oracle_relation(spec).coefficients
+    relation = dependence_relation(spec)
+    assert list(relation.coefficients) == _oracle_coefficients(spec)
+    assert relation.to_json() == _oracle_relation(spec).to_json()
 
 
 @settings(max_examples=25, deadline=None)
@@ -241,7 +252,56 @@ def test_packed_expansion_matches_the_tuple_oracle(request, name):
 def test_packed_expansion_and_check_match_the_oracles_on_random_specs(seed):
     spec = random_spec(random.Random(seed), max_vars=3, max_entry=5, max_weight=10)
     relation = dependence_relation(spec)
-    assert relation.coefficients == _oracle_relation(spec).coefficients
+    assert list(relation.coefficients) == _oracle_coefficients(spec)
+    assert relation.to_json() == _oracle_relation(spec).to_json()
     for candidate in [relation, *_perturbations(relation)]:
         assert verify_identity(candidate) == _oracle_verify(candidate)
 
+
+def _refuse(*args, **kwargs):
+    raise AssertionError("a LaurentLambda was built")
+
+
+# perfbench's workloads.intdep_sized picks the benchmark's generated intdep
+# specs by this count, and its traced intdep.relation_terms reads it too
+@settings(max_examples=25, deadline=None)
+@given(st.integers(0, 2 ** 32))
+def test_term_count_matches_the_oracle_and_builds_no_laurent(seed):
+    spec = random_spec(random.Random(seed), max_vars=3, max_entry=5, max_weight=10)
+    want = sum(len(c) for c in _oracle_coefficients(spec))
+    with pytest.MonkeyPatch.context() as mp:
+        for name in ("__init__", "const", "monomial", "from_json"):
+            mp.setattr(LaurentLambda, name, _refuse)
+        relation = dependence_relation(spec)
+        assert sum(len(c) for c in relation.coefficients) == want
+
+
+def test_coefficient_views_are_read_only_and_keyed_by_u_exponents(e2):
+    top = dependence_relation(e2).coefficients[6]
+    assert dict(top) == {(0, 0): 1}
+    assert (0, 0, 0) not in top and (7, 0) not in top and (0, -1) not in top
+    with pytest.raises(TypeError):
+        top[(0, 0)] = 2
+
+
+def test_from_coefficients_refuses_a_third_lambda_power(e2):
+    relation = dependence_relation(e2)
+    coeffs = [dict(c) for c in relation.coefficients]
+    coeffs[0][(0, 0)] = Laurent.monomial(relation.r + 1)
+    with pytest.raises(ValueError):
+        DependenceRelation.from_coefficients(e2, relation.degree, relation.r, coeffs)
+
+
+@pytest.mark.parametrize("name", ["e2", "e3"])   # r = 6 and r = -12
+def test_to_json_matches_the_views_where_both_lambda_powers_meet(request, name):
+    # h = 1, so f^(d+h-1) is the top power of the λ^r product and the second
+    # perturbation gives its u^0 term a λ^0 part as well
+    relation = dependence_relation(request.getfixturevalue(name))
+    wrong = _perturbations(relation)[1]
+    zero = (0,) * relation.spec.n_vars
+    assert len(wrong.coefficients[relation.degree - 1][zero].coeffs) == 2
+    for entry in wrong.to_json()["coefficients"]:
+        view = wrong.coefficients[entry["f_power"]]
+        assert [t["u"] for t in entry["terms"]] == [list(e) for e in view]
+        assert [t["c"] for t in entry["terms"]] == [c.to_json() for c in view.values()]
+    assert DependenceRelation.from_json(wrong.to_json(), wrong.spec).to_json() == wrong.to_json()

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import random_monic_chain, random_spec
+from laurent_arith import Laurent, laurent
 from gaussmanin import PolySpec, build_operator, cyclic_symmetric_spec, engine
 from gaussmanin.abalgebra import ABElement, HomogChain
 from gaussmanin.errors import NotHomogeneous, NotMonic
@@ -167,7 +168,7 @@ def _sub(x: DiffOp, y: DiffOp) -> DiffOp:
 
 
 def _scale(x: DiffOp, c) -> DiffOp:
-    c = as_laurent(c)
+    c = laurent(c)
     return DiffOp.build({k: p.map_coeffs(lambda v: v * c) for k, p in x.parts})
 
 
@@ -232,8 +233,8 @@ def test_diffop_leibniz():
 # every kind of zero the export meets: the JSON writes int and Fraction zeros
 # as "0" and an empty LaurentLambda as [], so the θ-step must keep each kind
 _coefficients = st.one_of(
-    st.sampled_from((0, Fraction(0), LaurentLambda())),
-    st.builds(lambda e, n, m: LaurentLambda.monomial(e, Fraction(n, m)),
+    st.sampled_from((0, Fraction(0), Laurent())),
+    st.builds(lambda e, n, m: Laurent.monomial(e, Fraction(n, m)),
               st.integers(-3, 3), st.integers(-9, 9), st.integers(1, 4)))
 _polys = st.lists(_coefficients, max_size=6).map(UniPoly)
 _diffops = st.dictionaries(st.integers(0, 6), _polys, max_size=5).map(DiffOp.build)
@@ -302,8 +303,8 @@ def test_to_differential_operator_e2(e2):
     diff = to_differential_operator(op)
     assert diff.order == 6
     lead = diff.coefficient(6)
-    expected = UniPoly.x_power(6, LaurentLambda.const(1)) + \
-        UniPoly.x_power(5, LaurentLambda.monomial(6, Fraction(1, 432)))
+    expected = UniPoly.x_power(6, Laurent.const(1)) + \
+        UniPoly.x_power(5, Laurent.monomial(6, Fraction(1, 432)))
     assert lead == expected
 
 
@@ -312,8 +313,8 @@ def test_to_differential_operator_family():
     diff = to_differential_operator(op)
     assert diff.order == 5
     lead = diff.coefficient(5)
-    expected = UniPoly.x_power(5, LaurentLambda.const(1)) - \
-        UniPoly.x_power(4, LaurentLambda.monomial(5, Fraction(1, 3125)))
+    expected = UniPoly.x_power(5, Laurent.const(1)) - \
+        UniPoly.x_power(4, Laurent.monomial(5, Fraction(1, 3125)))
     assert lead == expected
 
 
@@ -354,12 +355,12 @@ def _ode_oracle(g) -> dict:
     D^m·s^i = Σ_t C(m,t)·i!/(i-t)!·s^{i-t}·D^{m-t}.  Maps (order, s-power)
     to the nonzero coefficients."""
     out = {}
-    for part, scale in ((g.P_dh, LaurentLambda.const(1)), (g.P_d, -g.lambda_part())):
+    for part, scale in ((g.P_dh, Laurent.const(1)), (g.P_d, -laurent(g.lambda_part()))):
         for (k, i), c in part.terms.items():
             m = g.d + g.h - k
             for t in range(min(m, i) + 1):
                 key = (m - t, i - t)
-                out[key] = out.get(key, LaurentLambda()) + scale * (c * comb(m, t) * perm(i, t))
+                out[key] = out.get(key, Laurent()) + scale * (c * comb(m, t) * perm(i, t))
     return {key: v for key, v in out.items() if v}
 
 
@@ -384,10 +385,10 @@ def test_ode_matches_the_term_by_term_oracle_on_random_specs(seed):
 
 def _horner_export(g, coeff=lambda c: c) -> DiffOp:
     """b^{-(d+h)}·P = E_{d+h}(θ) - c·λ^r·E_d(θ+h)·D^h by Horner steps in θ over
-    Q, or over LaurentLambda with coeff=as_laurent: the ODE export before the
+    Q, or over Q[λ, λ^-1] with coeff=laurent: the ODE export before the
     closed form, and the one before that."""
     lead = _horner(euler_form(g.P_dh).map_coeffs(coeff))
-    lead = DiffOp(tuple((k, p.map_coeffs(lambda c: c if isinstance(c, int) else as_laurent(c)))
+    lead = DiffOp(tuple((k, p.map_coeffs(lambda c: c if isinstance(c, int) else laurent(c)))
                         for k, p in lead.parts))
     theta_h = UniPoly((Fraction(g.h), Fraction(1)))
     shifted = _horner(euler_form(g.P_d).map_coeffs(coeff).compose(theta_h))
@@ -399,7 +400,7 @@ def _horner_export(g, coeff=lambda c: c) -> DiffOp:
 @pytest.mark.parametrize("name", ["e2", "e3", "e4", "quintic"])
 def test_rational_horner_export_matches_the_laurent_one_byte_for_byte(request, name):
     op = build_operator(request.getfixturevalue(name))
-    assert _horner_export(op).to_json() == _horner_export(op, as_laurent).to_json()
+    assert _horner_export(op).to_json() == _horner_export(op, laurent).to_json()
 
 
 @settings(max_examples=25, deadline=None)
@@ -407,7 +408,7 @@ def test_rational_horner_export_matches_the_laurent_one_byte_for_byte(request, n
 def test_rational_horner_export_matches_the_laurent_one_on_random_specs(seed):
     op = build_operator(random_spec(random.Random(seed), max_vars=3, max_entry=5,
                                     max_weight=24))
-    assert _horner_export(op).to_json() == _horner_export(op, as_laurent).to_json()
+    assert _horner_export(op).to_json() == _horner_export(op, laurent).to_json()
 
 
 def _binomial_spec(a: int, b: int) -> PolySpec:

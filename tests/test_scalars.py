@@ -8,6 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import ROOT_PRIMES as _ROOT_PRIMES
+from laurent_arith import Laurent
 from gaussmanin.errors import NotCoprime
 from gaussmanin.scalars import (
     LaurentLambda,
@@ -46,8 +47,8 @@ def test_laurent_commutative_distributive():
     rng = random.Random(2)
 
     def rand_ll():
-        return LaurentLambda({rng.randint(-10, 10): Fraction(rng.randint(-5, 5))
-                              for _ in range(rng.randint(0, 4))})
+        return Laurent({rng.randint(-10, 10): Fraction(rng.randint(-5, 5))
+                        for _ in range(rng.randint(0, 4))})
 
     for _ in range(200):
         x, y, z = rand_ll(), rand_ll(), rand_ll()
@@ -56,12 +57,12 @@ def test_laurent_commutative_distributive():
 
 
 def test_laurent_basics():
-    lam = LaurentLambda.monomial(1)
-    x = LaurentLambda.monomial(-61) * Fraction(3, 4)
+    lam = Laurent.monomial(1)
+    x = Laurent.monomial(-61) * Fraction(3, 4)
     assert x.coeffs == {-61: Fraction(3, 4)}
     assert (x * lam).coeffs == {-60: Fraction(3, 4)}
     assert (lam - lam) == 0
-    assert LaurentLambda.const(5).constant_value() == 5
+    assert Laurent.const(5).constant_value() == 5
     with pytest.raises(ValueError):
         (lam + 1).constant_value()
 
