@@ -21,6 +21,10 @@ class MalformedOperator(MalformedSpec, ValueError):
     """Operator JSON whose parts disagree; a ValueError too, as invalid JSON is."""
 
 
+class MalformedRelation(MalformedSpec, ValueError):
+    """Dependence-relation JSON that is unreadable or disagrees with its spec."""
+
+
 class QuasiHomogeneous(PreconditionError):
     """The full exponent matrix is rank deficient: f is quasi-homogeneous."""
 

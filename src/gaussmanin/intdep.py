@@ -16,7 +16,8 @@ from fractions import Fraction
 from functools import cached_property
 
 from .engine import PolySpec, analyze
-from .errors import InternalError
+from .errors import InternalError, MalformedRelation
+from .jsonout import json_text
 from .scalars import LaurentLambda, mat_det
 
 
@@ -92,6 +93,15 @@ def _mul(p: _Poly, q: _Poly, acc: _Poly | None = None) -> _Poly:
 # A relation's key for f^k·u^e is k + Σ_i e_i·base^(n-i): f is the lowest
 # digit and u_0 the highest, so within one power of f the order of the keys
 # is the order of the u-exponent tuples.
+
+# The indent-2 JSON text of one term and of one power of f's block, at
+# their depth in the relation's object.
+_C_ITEM = '[\n              %d,\n              "%s"\n            ]'
+_TERM = ('{\n          "u": [\n            %s\n          ],'
+         '\n          "c": [\n            %s\n          ]\n        }')
+_BLOCK = '{\n      "f_power": %d,\n      "terms": [\n        %s\n      ]\n    }'
+_EMPTY_BLOCK = '{\n      "f_power": %d,\n      "terms": []\n    }'
+
 
 class _FPower(Mapping):
     """The coefficient of one power of f, read-only: u-exponent tuple ->
@@ -182,21 +192,26 @@ class DependenceRelation:
         return (self.coefficients[top].packed == [top] and top not in num_r
                 and num0.get(top, 0) * s0 == 1)
 
-    def _c_json(self) -> dict[int, list]:
-        """The JSON of each key's coefficient, [[λ-exponent, "p/q"], ...]."""
-        out: dict[int, list] = {}
-        for (nums, scale), le in zip(self.parts, (0, self.r)):
-            p, q = scale.numerator, scale.denominator
-            for key, a in nums.items():
-                g = math.gcd(a, q)   # scale is reduced, so gcd(a·p, q) = gcd(a, q)
-                v = [le, str(a // g * p) if g == q else f"{a // g * p}/{q // g}"]
-                out.setdefault(key, []).insert(0 if le < 0 else 1, v)   # by λ-exponent
+    @cached_property
+    def _scales(self) -> list[tuple[_Poly, int, int, int]]:
+        """(nums, p, q, λ-exponent) for each part with scale p/q, by λ-exponent."""
+        out = [(nums, scale.numerator, scale.denominator, le)
+               for (nums, scale), le in zip(self.parts, (0, self.r))]
+        return out[::-1] if self.r < 0 else out
+
+    def _c_items(self, key: int) -> list[tuple[int, str]]:
+        """The coefficient of a key as (λ-exponent, "p/q") pairs by λ-exponent."""
+        out = []
+        for nums, p, q, le in self._scales:
+            a = nums.get(key)
+            if a is not None:
+                g = math.gcd(a, q)   # p/q is reduced, so gcd(a·p, q) = gcd(a, q)
+                out.append((le, str(a // g * p) if g == q else f"{a // g * p}/{q // g}"))
         return out
 
-    def to_json(self) -> dict:
+    def _head_json(self) -> dict:
         rel = analyze(self.spec)
         rows = linear_forms(self.spec).to_json()
-        base, places, c = self.base, self._u_places, self._c_json()
         return {
             "degree": self.degree,
             "r": self.r,
@@ -206,19 +221,55 @@ class DependenceRelation:
                 "delta": [[rows[j], rel.delta[j]]
                           for j in range(len(rel.delta)) if rel.delta[j]],
             },
+        }
+
+    def to_json(self) -> dict:
+        base, places = self.base, self._u_places
+        return {
+            **self._head_json(),
             "coefficients": [
                 {"f_power": k,
-                 "terms": [{"u": [key // p % base for p in places], "c": c[key]}
+                 "terms": [{"u": [key // p % base for p in places],
+                            "c": [list(v) for v in self._c_items(key)]}
                            for key in view.packed]}
                 for k, view in enumerate(self.coefficients)
             ],
         }
 
+    def write_json(self, write, verified: bool | None = None) -> None:
+        """Write json.dumps(to_json() plus a last "verified" key unless it is
+        None, indent=2) + "\n" to write, without building to_json's tree:
+        the head through `json_text`, then one piece per power of f.  The
+        "c" strings hold only digits, "-" and "/", so they need no escaping."""
+        head = json_text(self._head_json(), "\n")
+        write(head[:-len("\n}")] + ',\n  "coefficients": [')
+        base, places, c_items = self.base, self._u_places, self._c_items
+        sep = "\n    "
+        for k, view in enumerate(self.coefficients):
+            terms = [_TERM % (",\n            ".join([str(key // p % base) for p in places]),
+                              ",\n            ".join([_C_ITEM % v for v in c_items(key)]))
+                     for key in view.packed]
+            write(sep)
+            write(_BLOCK % (k, ",\n        ".join(terms)) if terms else _EMPTY_BLOCK % k)
+            sep = ",\n    "
+        tail = "" if verified is None else ',\n  "verified": ' + json_text(verified, "")
+        write("\n  ]" + tail + "\n}\n")
+
     @classmethod
     def from_json(cls, data, spec: PolySpec) -> "DependenceRelation":
-        coeffs = [{tuple(t["u"]): LaurentLambda.from_json(t["c"]) for t in entry["terms"]}
-                  for entry in data["coefficients"]]
-        return cls.from_coefficients(spec, int(data["degree"]), int(data["r"]), coeffs)
+        try:
+            coeffs = [{tuple(t["u"]): LaurentLambda.from_json(t["c"]) for t in entry["terms"]}
+                      for entry in data["coefficients"]]
+            relation = cls.from_coefficients(spec, int(data["degree"]), int(data["r"]), coeffs)
+        except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
+            raise MalformedRelation(f"bad relation JSON: {exc!r}") from exc
+        rel = analyze(spec)
+        if (relation.degree, relation.r) != (rel.d + rel.h, rel.r):
+            raise MalformedRelation(f"degree {relation.degree} or r = {relation.r} disagrees "
+                                    f"with the spec's d+h = {rel.d + rel.h} and r = {rel.r}")
+        if not relation.is_monic():
+            raise MalformedRelation(f"the relation is not monic of degree {relation.degree} in f")
+        return relation
 
     def factored_str(self) -> str:
         return factored_relation_str(self.spec)

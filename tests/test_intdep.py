@@ -1,19 +1,23 @@
+import json
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import FAMILY_ALPHAS, random_spec
+from conftest import FAMILY_ALPHAS, SPEC_DIR, random_spec
 from laurent_arith import Laurent
-from gaussmanin import analyze, cyclic_symmetric_spec
+from gaussmanin import PolySpec, analyze, cli, cyclic_symmetric_spec
+from gaussmanin.errors import MalformedRelation, MalformedSpec
 from gaussmanin.intdep import (
     DependenceRelation,
     dependence_relation,
     linear_forms,
     verify_identity,
 )
+from gaussmanin.jsonout import json_text, write_json
 from gaussmanin.scalars import LaurentLambda, mat_det
 
 
@@ -305,3 +309,124 @@ def test_to_json_matches_the_views_where_both_lambda_powers_meet(request, name):
         assert [t["u"] for t in entry["terms"]] == [list(e) for e in view]
         assert [t["c"] for t in entry["terms"]] == [c.to_json() for c in view.values()]
     assert DependenceRelation.from_json(wrong.to_json(), wrong.spec).to_json() == wrong.to_json()
+
+
+# ---------------------------------------------------------------------------
+# The streamed JSON: the bytes of json.dumps(to_json(), indent=2), one power
+# of f at a time
+# ---------------------------------------------------------------------------
+
+def _streamed(relation: DependenceRelation, verified=None) -> list[str]:
+    pieces = []
+    relation.write_json(pieces.append, verified)
+    return pieces
+
+
+def _dumped(relation: DependenceRelation, verified=None) -> str:
+    obj = relation.to_json()
+    if verified is not None:
+        obj["verified"] = verified
+    return json.dumps(obj, indent=2) + "\n"
+
+
+def _seeded_specs() -> dict:
+    """The first seeded random spec for each number of variables 2..4 and
+    each sign of r."""
+    rng = random.Random(18)
+    found = {}
+    while len(found) < 6:
+        spec = random_spec(rng, max_vars=4, max_entry=4, max_weight=12)
+        found.setdefault((spec.n_vars, analyze(spec).r > 0), spec)
+    return found
+
+
+SEEDED_SPECS = _seeded_specs()
+
+
+@pytest.mark.parametrize("key", sorted(SEEDED_SPECS), ids=lambda k: f"n{k[0]}-r{'+' if k[1] else '-'}")
+def test_streamed_json_matches_json_dumps_on_random_specs(key):
+    relation = dependence_relation(SEEDED_SPECS[key])
+    for verified in (None, True, False):
+        assert "".join(_streamed(relation, verified)) == _dumped(relation, verified)
+
+
+@pytest.mark.parametrize("name", ["e2", "e3"])   # r = 6 and r = -12
+def test_streamed_json_matches_json_dumps_where_both_lambda_powers_meet(request, name):
+    relation = dependence_relation(request.getfixturevalue(name))
+    for wrong in _perturbations(relation):
+        for verified in (None, True):
+            assert "".join(_streamed(wrong, verified)) == _dumped(wrong, verified)
+
+
+def test_streamed_json_of_an_empty_power_of_f(e2):
+    relation = dependence_relation(e2)
+    coeffs = [dict(c) for c in relation.coefficients]
+    coeffs[2] = {}
+    wrong = DependenceRelation.from_coefficients(e2, relation.degree, relation.r, coeffs)
+    assert '"terms": []' in _dumped(wrong)
+    assert "".join(_streamed(wrong)) == _dumped(wrong)
+
+
+def _write_peak(write) -> tuple[int, int, int]:
+    """tracemalloc's peak while write(sink) runs, the text's length and its
+    longest piece, with a sink that keeps only the lengths."""
+    sizes = []
+    tracemalloc.start()
+    try:
+        write(lambda piece: sizes.append(len(piece)))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return peak, sum(sizes), max(sizes)
+
+
+def test_streamed_json_holds_neither_the_tree_nor_the_text():
+    # x^10 + y^13 + λxy: 2.8 MB of text in 131 powers of f; streamed, the
+    # peak was 0.07 of the text, and through to_json's tree 2.1 times it
+    spec = PolySpec(((10, 0), (0, 13)), (1, 1), (0, 0))
+    relation = dependence_relation(spec)
+    peak, size, longest = _write_peak(relation.write_json)
+    assert size > 2_800_000
+    assert peak < size / 5
+    tree_peak, tree_size, _ = _write_peak(lambda w: write_json(relation.to_json(), w))
+    assert tree_size == size and tree_peak > size / 5
+    blocks = [json_text(block, "\n    ") for block in relation.to_json()["coefficients"]]
+    assert longest == max(map(len, blocks))
+
+
+def test_cli_streams_the_relation_without_to_json(capsys, monkeypatch):
+    def refuse(self):
+        raise AssertionError("intdep --format json built the to_json tree")
+
+    monkeypatch.setattr(DependenceRelation, "to_json", refuse)
+    assert cli.main(["intdep", str(SPEC_DIR / "e3.json"), "--format", "json", "--verify"]) == 0
+    data = json.loads(capsys.readouterr().out)
+    assert list(data) == ["degree", "r", "factored", "coefficients", "verified"]
+    assert data["verified"] is True
+
+
+# ---------------------------------------------------------------------------
+# from_json refuses what is not the spec's relation
+# ---------------------------------------------------------------------------
+
+def test_from_json_refuses_a_relation_that_is_not_monic(e2):
+    data = dependence_relation(e2).to_json()
+    data["coefficients"][6]["terms"] = []
+    with pytest.raises(MalformedRelation, match="not monic"):
+        DependenceRelation.from_json(data, e2)
+
+
+def test_from_json_refuses_a_degree_other_than_d_plus_h(e2):
+    data = dependence_relation(e2).to_json()
+    data["degree"] = 9
+    with pytest.raises(MalformedRelation, match="disagrees with the spec"):
+        DependenceRelation.from_json(data, e2)
+
+
+def test_from_json_refuses_a_missing_key(e2):
+    data = dependence_relation(e2).to_json()
+    del data["coefficients"]
+    with pytest.raises(MalformedRelation, match="coefficients") as exc:
+        DependenceRelation.from_json(data, e2)
+    assert isinstance(exc.value, MalformedSpec) and isinstance(exc.value, ValueError)
+    assert isinstance(exc.value.__cause__, KeyError)

@@ -16,8 +16,9 @@ def test_no_plain_assert_outside_selftest():
 
 
 def test_no_indented_json_dumps():
-    # every --format json goes through cli.write_json, which keeps the bytes of
-    # json.dumps(indent=2) and streams them
+    # every --format json goes through jsonout.write_json, or for intdep through
+    # DependenceRelation.write_json, which keep the bytes of json.dumps(indent=2)
+    # and stream them
     found = [f"{path.name}:{node.lineno}"
              for path in sorted(SRC.glob("*.py"))
              for node in ast.walk(ast.parse(path.read_text(), str(path)))
