@@ -4,9 +4,16 @@ Elements are kept in "b-left" normal form, sum of c_{k,i}·b^k·a^i, so
 b-adic truncation and initial forms read directly off the representation.
 All products reduce with the single rewrite a·b^k = b^k·a + k·b^(k+1),
 equivalently a·c(b) = c(b)·a + b²·c'(b) for a coefficient series c, on
-integer numerators in `_mul_int`.
+integer numerators in `_mul_int`.  Inside its term-pair loop a monomial
+b^k·a^i is the one int k·S + i (S is one more than the largest a-power of
+the product), and the weights C(i1,t)·k2(k2+1)···(k2+t-1) come from the
+table `_WEIGHTS`, whose row (i1, k2) grows only as far as some product has
+needed (1,965 rows, about 2 MB, after e61 `factor --prec 63`).  theta_k
+works on integer numerators too: one right product by b^kk per b-power kk.
 
-Elements are immutable; every operation is pure.
+Elements are immutable; every operation is pure.  The weight table is the
+one piece of module state: a cache of fixed integers whose rows are only ever
+replaced by longer copies, so threads may share it.
 """
 
 from __future__ import annotations
@@ -36,28 +43,56 @@ def _min_trunc(t1: int | None, t2: int | None) -> int | None:
     return min(t1, t2)
 
 
+# (i1, k2) -> [w_1, w_2, ...], the weights of b^k2 moved past a^i1 (see _mul_int);
+# a row grows only as far as some product has needed, and at most to w_i1
+_WEIGHTS: dict[tuple[int, int], list[int]] = {}
+
+
 def _mul_int(x: dict, y: dict, trunc: int | None) -> dict:
     """x·y for maps (b_power, a_power) -> int, dropping b-powers >= trunc.
 
     The one rewrite a·b^k = b^k·a + k·b^(k+1) gives
     b^k1·a^i1 · b^k2·a^i2 = Σ_t C(i1,t)·k2(k2+1)···(k2+t-1)·b^(k1+k2+t)·a^(i1+i2-t),
-    whose t-th weight w is the (t-1)-th times (i1-t+1)·(k2+t-1)/t.
+    whose t-th weight w is the (t-1)-th times (i1-t+1)·(k2+t-1)/t.  Inside the
+    loop a key is k·S + i with S above every a-power of the product, so step t
+    moves it by S - 1; keys are unpacked once at the end, in insertion order.
     """
-    out: dict[tuple[int, int], int] = {}
+    if not x or not y:
+        return {}
+    size = max(i for _, i in x) + max(i for _, i in y) + 1
+    step = size - 1
+    ys = [(k2, k2 * size + i2, c2) for (k2, i2), c2 in y.items()]
+    out: dict[int, int] = {}
     get = out.get
+    rows = _WEIGHTS
     for (k1, i1), c1 in x.items():
-        for (k2, i2), c2 in y.items():
-            k, i, c = k1 + k2, i1 + i2, c1 * c2
+        base = k1 * size + i1
+        for k2, key2, c2 in ys:
             top = i1 if k2 else 0   # b^0 commutes with a
             if trunc is not None:
-                top = min(top, trunc - 1 - k)
-            w = 1
-            for t in range(top + 1):
-                if t:
-                    w = w * (i1 - t + 1) * (k2 + t - 1) // t
-                key = (k + t, i - t)
-                out[key] = get(key, 0) + c * w
-    return out
+                top = min(top, trunc - 1 - k1 - k2)
+                if top < 0:
+                    continue
+            c = c1 * c2
+            key = base + key2
+            out[key] = get(key, 0) + c
+            if top:
+                row = rows.get((i1, k2), ())
+                n = len(row)
+                if n > top:
+                    row = row[:top]
+                elif n < top:
+                    # a longer copy replaces the row: no reader sees one half grown
+                    w = row[-1] if row else 1
+                    row = list(row)
+                    for t in range(n + 1, top + 1):
+                        w = w * (i1 - t + 1) * (k2 + t - 1) // t
+                        row.append(w)
+                    rows[i1, k2] = row
+                for w in row:
+                    key += step
+                    out[key] = get(key, 0) + c * w
+    return {divmod(key, size): c for key, c in out.items()}
 
 
 class _Terms(Mapping):
@@ -421,19 +456,23 @@ def theta_k(p: ABElement, k: int) -> ABElement:
         raise ValueError("theta_k needs a finite (untruncated) element")
     if not p.num:
         return p
-    amax = p.a_degree
-    gen = ABElement.linear(Fraction(1), Fraction(-k))  # a - k·b
-    powers = [ABElement.one()]
-    for _ in range(amax):
-        powers.append(gen * powers[-1])
-    out = ABElement.zero()
-    for (kk, i), c in p.terms.items():
-        sign = Fraction(-1) ** kk
-        # theta(b^kk·a^i) = theta(a)^i·theta(b)^kk = (a - k·b)^i·(-1)^kk·b^kk,
-        # with the b-powers multiplied on the right
-        term = powers[i] * ABElement.term(kk, 0) if kk else powers[i]
-        out = out + term * (c * sign)
-    return out
+    # theta(b^kk·a^i) = theta(a)^i·theta(b)^kk = (-1)^kk·(a - k·b)^i·b^kk: the terms
+    # of one b-power kk are summed over the powers of a - k·b, then times b^kk once
+    gen = {(0, 1): 1, (1, 0): -k}
+    powers = [{(0, 0): 1}]
+    for _ in range(p.a_degree):
+        powers.append(_mul_int(gen, powers[-1], None))
+    groups: dict[int, dict] = {}
+    for (kk, i), n in p.num.items():
+        acc = groups.setdefault(kk, {})
+        n = -n if kk & 1 else n
+        for key, w in powers[i].items():
+            acc[key] = acc.get(key, 0) + n * w
+    out: dict[tuple[int, int], int] = {}
+    for kk, acc in groups.items():
+        for key, n in _mul_int(acc, {(kk, 0): 1}, None).items():
+            out[key] = out.get(key, 0) + n
+    return ABElement.from_numerators(out, p.den)
 
 
 # ---------------------------------------------------------------------------

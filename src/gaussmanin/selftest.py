@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import random
 from fractions import Fraction
 
@@ -21,11 +22,12 @@ def _check(ok: bool) -> None:
 
 
 def _random_element(rng: random.Random, max_a=4, max_b=4, n_terms=5) -> ABElement:
-    terms = {}
+    draws = {}   # (b_power, a_power) -> (numerator, denominator); a later draw wins
     for _ in range(n_terms):
         key = (rng.randint(0, max_b), rng.randint(0, max_a))
-        terms[key] = Fraction(rng.randint(-5, 5), rng.randint(1, 3))
-    return ABElement(terms)
+        draws[key] = (rng.randint(-5, 5), rng.randint(1, 3))
+    den = math.lcm(*(d for _, d in draws.values()))
+    return ABElement.from_numerators({key: n * (den // d) for key, (n, d) in draws.items()}, den)
 
 
 def _check_power_identities() -> None:

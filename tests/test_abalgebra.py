@@ -1,17 +1,22 @@
 import dataclasses
 import random
+import sys
+import threading
 from fractions import Fraction
-from math import comb, gcd, lcm
+from math import comb, gcd, lcm, prod
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import kernel_oracle
 from conftest import random_chain, random_element, random_monic_chain
 from fraction_element import FractionElement
+from gaussmanin import abalgebra, selftest
 from gaussmanin.abalgebra import (
     ABElement,
     HomogChain,
+    _mul_int,
     chain_expand,
     right_divide,
     theta_k,
@@ -406,3 +411,121 @@ def test_fraction_oracle_edge_elements():
     monic, omonic = _pair({(0, 2): 1, (1, 0): Fraction(1, 3)}, None)
     assert monic.is_monic_in_a() and omonic.is_monic_in_a()
     assert not (monic * 2).is_monic_in_a() and not (omonic * 2).is_monic_in_a()
+
+
+# ---------------------------------------------------------------------------
+# Packed keys, the weight table and the integer theta_k against their oracles
+# ---------------------------------------------------------------------------
+
+# a-powers up to 20; b-powers up to 6, so a truncation falls below, between and
+# above k1 + k2 and k1 + k2 + i1; zero keys give terms with k2 = 0 and i1 = 0
+_kernel_maps = st.dictionaries(st.tuples(st.integers(0, 6), st.integers(0, 20)),
+                               st.integers(-2 ** 40, 2 ** 40), max_size=6)
+_kernel_truncs = st.one_of(st.none(), st.just(1), st.integers(1, 40))
+
+
+def _same_map(got: dict, want: dict) -> bool:
+    """Equal maps with the same keys in the same insertion order."""
+    return list(got.items()) == list(want.items())
+
+
+@settings(max_examples=400, deadline=None)
+@given(_kernel_maps, _kernel_maps, _kernel_truncs)
+@example({}, {(1, 3): 2}, None)
+@example({(1, 3): 2}, {}, 5)
+@example({(0, 20): 3, (2, 0): -1}, {(0, 7): 5, (4, 20): 2}, None)
+@example({(0, 20): 3, (2, 0): -1}, {(0, 7): 5, (4, 20): 2}, 3)
+@example({(0, 20): 3, (2, 0): -1}, {(0, 7): 5, (4, 20): 2}, 30)
+def test_kernel_matches_the_oracle_in_key_order(x, y, trunc):
+    assert _same_map(_mul_int(x, y, trunc), kernel_oracle.mul_int(x, y, trunc))
+
+
+def test_kernel_does_not_depend_on_the_weight_table():
+    x = {(0, 12): 3, (2, 7): -1, (1, 0): 5}
+    y = {(3, 4): 2, (0, 9): 1, (5, 1): -7}
+    for first, second in ((x, y), (y, x)):
+        abalgebra._WEIGHTS.clear()
+        assert _same_map(_mul_int(first, second, None),
+                         kernel_oracle.mul_int(first, second, None))
+        assert _same_map(_mul_int(second, first, None),
+                         kernel_oracle.mul_int(second, first, None))
+    # a row grown part way by a truncated product, read in full by an untruncated
+    # one, then read part way again
+    abalgebra._WEIGHTS.clear()
+    assert _same_map(_mul_int(x, y, 8), kernel_oracle.mul_int(x, y, 8))
+    assert len(abalgebra._WEIGHTS[12, 3]) == 4
+    assert _same_map(_mul_int(x, y, None), kernel_oracle.mul_int(x, y, None))
+    assert len(abalgebra._WEIGHTS[12, 3]) == 12
+    assert _same_map(_mul_int(x, y, 8), kernel_oracle.mul_int(x, y, 8))
+
+
+def test_weight_table_shared_by_threads():
+    # rows of one (i1, k2) grown to different lengths at once by truncated products
+    rng = random.Random(7)
+    cases = []
+    for _ in range(40):
+        x = {(rng.randint(0, 3), rng.randint(10, 30)): rng.randint(-9, 9) for _ in range(4)}
+        y = {(rng.randint(1, 3), rng.randint(0, 20)): rng.randint(-9, 9) for _ in range(4)}
+        cases.append((x, y, rng.choice((None, 4, 6, 9, 13, 18, 24))))
+    want = [kernel_oracle.mul_int(*case) for case in cases]
+    wrong = []
+
+    def work(order):
+        for j in order:
+            if not _same_map(_mul_int(*cases[j]), want[j]):
+                wrong.append(j)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(20):
+            abalgebra._WEIGHTS.clear()
+            threads = [threading.Thread(target=work, args=(rng.sample(range(40), 40),))
+                       for _ in range(6)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+            assert not any(t.is_alive() for t in threads)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not wrong
+    for (i1, k2), row in abalgebra._WEIGHTS.items():
+        rising = [prod(range(k2, k2 + t)) for t in range(1, len(row) + 1)]
+        assert row == [comb(i1, t) * r for t, r in enumerate(rising, 1)]
+
+
+_theta_elements = st.builds(
+    ABElement,
+    st.dictionaries(st.tuples(st.integers(0, 7), st.integers(0, 7)), _coefficients,
+                    max_size=8))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_theta_elements, st.integers(-6, 6))
+@example(ABElement({(1, 2): Fraction(1, 3), (3, 0): -2, (0, 4): 5, (1, 0): 1}), 0)
+@example(ABElement({(5, 3): Fraction(-7, 2), (2, 6): 1}), -6)
+@example(ABElement.zero(), 3)
+def test_theta_matches_the_oracle(p, k):
+    assert _same_element(theta_k(p, k), kernel_oracle.theta_k(p, k))
+
+
+def test_theta_refuses_a_truncated_element():
+    with pytest.raises(ValueError, match="untruncated"):
+        theta_k(ABElement({(0, 1): 1, (1, 0): 2}, trunc=3), 2)
+    with pytest.raises(ValueError, match="untruncated"):
+        theta_k(ABElement.zero(trunc=1), 0)
+
+
+def test_selftest_elements_are_the_fraction_elements_of_the_same_draws():
+    for seed in range(20):
+        drawn, ours = random.Random(seed), random.Random(seed)
+        for max_a, max_b, n_terms in ((4, 4, 5), (3, 3, 4), (2, 2, 3)):
+            terms = {}
+            for _ in range(n_terms):
+                key = (drawn.randint(0, max_b), drawn.randint(0, max_a))
+                terms[key] = Fraction(drawn.randint(-5, 5), drawn.randint(1, 3))
+            want = ABElement(terms)
+            got = selftest._random_element(ours, max_a, max_b, n_terms)
+            assert (got.num, got.den, got.trunc) == (want.num, want.den, want.trunc)
+            assert list(got.num) == list(want.num)

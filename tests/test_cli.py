@@ -23,11 +23,26 @@ def run_cli(capsys, *argv):
 
 # stdout sha256 of the benchmark's jobs, recorded from the command line
 REFERENCE = json.loads((SPEC_DIR.parent / "perfbench" / "reference.json").read_text())
-SLOW_JOBS = {"intdep specs/e61.json --format json"}
-JSON_JOBS = [pytest.param(job, marks=pytest.mark.slow) if job in SLOW_JOBS else job
-             for job in sorted(REFERENCE)
-             if job.split()[0] in ("analyze", "operator", "ode", "factor", "intdep")
-             and "--format json" in job]
+SLOW_JOBS = {"intdep specs/e61.json", "intdep specs/e61.json --format json"}
+# the jobs refused with exit 2: no stdout and this one line on stderr
+REJECT_JOBS = {
+    "analyze specs/homog.json": "error: f = x^2 + y^2 + λ·x·y is quasi-homogeneous\n",
+    "factor specs/e2.json --lambda 0": "error: the parameter must be nonzero\n",
+    "operator specs/e2.json --mu 1,x": "error: bad --mu value '1,x'\n",
+}
+CRITICAL_JOBS = sorted(job for job in REFERENCE if job.startswith("verify-critical "))
+
+
+def _jobs(keep) -> list:
+    return [pytest.param(job, marks=pytest.mark.slow) if job in SLOW_JOBS else job
+            for job in sorted(REFERENCE) if keep(job)]
+
+
+JSON_JOBS = _jobs(lambda job: job.split()[0] in ("analyze", "operator", "ode", "factor", "intdep")
+                  and "--format json" in job)
+# every other job that exits 0: the text outputs and selftest
+TEXT_JOBS = _jobs(lambda job: "--format json" not in job and job not in CRITICAL_JOBS
+                  and job not in REJECT_JOBS)
 
 
 def _check_reference_bytes(capsys, monkeypatch, job):
@@ -42,11 +57,29 @@ def test_json_output_is_byte_identical_to_reference(capsys, monkeypatch, job):
     _check_reference_bytes(capsys, monkeypatch, job)
 
 
+@pytest.mark.parametrize("job", TEXT_JOBS)
+def test_text_output_is_byte_identical_to_reference(capsys, monkeypatch, job):
+    _check_reference_bytes(capsys, monkeypatch, job)
+
+
 # all five verify-critical jobs, text and JSON
-@pytest.mark.parametrize("job", sorted(job for job in REFERENCE
-                                       if job.startswith("verify-critical ")))
+@pytest.mark.parametrize("job", CRITICAL_JOBS)
 def test_verify_critical_output_is_byte_identical_to_reference(capsys, monkeypatch, job):
     _check_reference_bytes(capsys, monkeypatch, job)
+
+
+@pytest.mark.parametrize("job", sorted(REJECT_JOBS))
+def test_reference_reject_exits_2_with_one_line(capsys, monkeypatch, job):
+    monkeypatch.chdir(SPEC_DIR.parent)
+    code, out, err = run_cli(capsys, *job.split())
+    assert code == 2 and out == "" and err == REJECT_JOBS[job]
+    assert REFERENCE[job] == hashlib.sha256(b"").hexdigest()
+
+
+def test_every_reference_job_is_pinned():
+    pinned = [p.values[0] if hasattr(p, "values") else p for p in JSON_JOBS + TEXT_JOBS]
+    pinned += CRITICAL_JOBS + list(REJECT_JOBS)
+    assert sorted(pinned) == sorted(REFERENCE) and len(REFERENCE) == 52
 
 
 # `ode --format json` stdout sha256 at h far beyond the shipped specs' h ≤ 15,
@@ -414,11 +447,11 @@ _WRONG_PRODUCT_RULE = """
 import inspect, sys, textwrap
 from gaussmanin import abalgebra, cli, selftest
 src = textwrap.dedent(inspect.getsource(abalgebra._mul_int))
-rule = "out[key] = get(key, 0) + c * w"
+rule = "w = w * (i1 - t + 1) * (k2 + t - 1) // t"
 if rule not in src:
     sys.exit(3)
 ns = {}
-exec(src.replace(rule, "out[key] = get(key, 0) + c * (w + (t == 1))"), vars(abalgebra), ns)
+exec(src.replace(rule, "w = w * (i1 - t + 1) * (k2 + t - 1) // t + (t == 1)"), vars(abalgebra), ns)
 abalgebra._mul_int = ns["_mul_int"]
 """
 
