@@ -3,7 +3,7 @@ monomials in n+1 variables, and factorization of the resulting operators in
 the b-adic completion of C<a,b> with a·b - b·a = b².
 """
 
-from .abalgebra import ABElement, HomogChain, chain_expand, right_divide, theta_k
+from .abalgebra import ABElement, HomogChain, right_divide, theta_k
 from .critical import CriticalReport, check_singular_equation, critical_values, equation_holds
 from .engine import (
     GMOperator,
@@ -56,7 +56,7 @@ from .scalars import (
 )
 
 __all__ = [
-    "ABElement", "HomogChain", "chain_expand", "right_divide", "theta_k",
+    "ABElement", "HomogChain", "right_divide", "theta_k",
     "CriticalReport", "check_singular_equation", "critical_values", "equation_holds",
     "GMOperator", "PolySpec", "RelationData", "analyze", "build_operator",
     "check_condition_C", "monomial_chain", "chain_paths_agree", "cyclic_symmetric_spec",

@@ -11,6 +11,10 @@ table `_WEIGHTS`, whose row (i1, k2) grows only as far as some product has
 needed (1,965 rows, about 2 MB, after e61 `factor --prec 63`).  theta_k
 works on integer numerators too: one right product by b^kk per b-power kk.
 
+A chain of degree-1 factors skips the kernel: `HomogChain.expand` builds its
+Euler polynomial Π_j (e_j·θ + t_j) on integers in the falling basis
+F_i(θ) = (θ+1)···(θ+i) = b^{-i}·a^i, one `times_euler_factor` per factor.
+
 Elements are immutable; every operation is pure.  The weight table is the
 one piece of module state: a cache of fixed integers whose rows are only ever
 replaced by longer copies, so threads may share it.
@@ -479,6 +483,16 @@ def theta_k(p: ABElement, k: int) -> ABElement:
 # Homogeneous chains of degree-1 factors
 # ---------------------------------------------------------------------------
 
+def times_euler_factor(x: list, e, t) -> list:
+    """The falling-basis coordinates of (e·θ + t)·Σ x_i·F_i(θ), F_i = (θ+1)···(θ+i).
+
+    As θ·F_i = F_{i+1} - (i+1)·F_i, the factor maps x_i to
+    e·x_{i-1} + (t - e·(i+1))·x_i; the coordinates may be any rationals.
+    """
+    return [(t - e * i) * xi + e * prev
+            for i, (prev, xi) in enumerate(zip([0, *x], [*x, 0]), 1)]
+
+
 @dataclass(frozen=True)
 class HomogChain:
     """Ordered product of degree-1 factors (eta·a + theta·b), leftmost first."""
@@ -496,15 +510,28 @@ class HomogChain:
             out *= eta
         return out
 
+    def euler_factors(self, shift: int = 0) -> list[tuple[int, int]]:
+        """The Euler factors at θ + shift as integer pairs (e_j, t_j) for
+        e_j·θ + t_j: factor j is η_j·(θ + q - j + 1) + θ_j cleared to integers, as
+        b^{-1}·a is θ + 1, shifted by the q - j factors to the right of factor j."""
+        q = self.degree
+        out = []
+        for j, (eta, theta) in enumerate(self.factors, 1):
+            scale = math.lcm(eta.denominator, theta.denominator)
+            e = int(eta * scale)
+            out.append((e, e * (q - j + 1 + shift) + int(theta * scale)))
+        return out
+
     def expand(self) -> ABElement:
-        # From the left over Z, so a step is linear in the term count; each factor
-        # is cleared by lcm(den η, den θ), and their product divides once at the end.
-        out, den = {(0, 0): 1}, 1
-        for eta, theta in reversed(self.factors):
-            factor, scale = ABElement.linear(eta, theta).numerators()
-            out = _mul_int(factor, out, None)
-            den *= scale
-        return ABElement.from_numerators(out, den)
+        # The Euler polynomial Σ x_i·F_i(θ) on integers, with F_i(θ) = b^{-i}·a^i: the
+        # product is Σ x_i·b^(q-i)·a^i over the product of the factors' clearing scales.
+        x = [1]
+        for e, t in self.euler_factors():
+            x = times_euler_factor(x, e, t)
+        den = math.prod(math.lcm(eta.denominator, theta.denominator)
+                        for eta, theta in self.factors)
+        q = self.degree
+        return ABElement.from_numerators({(q - i, i): n for i, n in enumerate(x)}, den)
 
     def to_json(self) -> list:
         return [[str(e), str(t)] for e, t in self.factors]
@@ -525,11 +552,6 @@ class HomogChain:
             rhs = "b" if th == 1 else f"{th}·b"
             return f"({lhs} {op} {rhs})"
         return "".join(fac(e, t) for e, t in self.factors)
-
-
-def chain_expand(chain: HomogChain) -> ABElement:
-    """Expanded normal form of the chain product."""
-    return chain.expand()
 
 
 def require_homogeneous(p: ABElement) -> int:

@@ -20,8 +20,7 @@ from functools import lru_cache
 
 from .abalgebra import ABElement, HomogChain
 from .errors import GammaTouchesH, InternalError, MalformedOperator, MalformedSpec, QuasiHomogeneous
-from .ode import euler_factors, euler_form
-from .scalars import LaurentLambda, UniPoly, mat_inverse, mat_rank, mat_solve
+from .scalars import LaurentLambda, mat_inverse, mat_rank, mat_solve
 
 
 @dataclass(frozen=True)
@@ -415,18 +414,22 @@ class GMOperator:
         if (op.c, op.r, op.chain_dh.degree, op.chain_d.degree) != \
                 (rel.c, rel.r, rel.d + rel.h, rel.d):
             raise MalformedOperator("c, r or a chain length disagrees with the relation")
-        return _certify_euler_products(op, MalformedOperator)
+        for chain, p in ((op.chain_dh, op.P_dh), (op.chain_d, op.P_d)):
+            if _monic_product(chain, chain.leading, MalformedOperator) != p:
+                raise MalformedOperator(f"P_{chain.degree} is not the Euler product of its chain")
+        return op
 
 
-def _certify_euler_products(op: GMOperator, error: type[Exception]) -> GMOperator:
-    """op, once P_dh and P_d are the monic products of their chains' Euler factors;
-    the check reads every b-term, and the θ^q coefficient pins the class mod b to a^q."""
-    for chain, p in ((op.chain_dh, op.P_dh), (op.chain_d, op.P_d)):
-        product = math.prod((UniPoly((t, e)) for e, t in euler_factors(chain)),
-                            start=UniPoly.const(1))
-        if p.is_zero() or not p.is_homogeneous() or euler_form(p) != product.monic():
-            raise error(f"P_{chain.degree} is not the Euler product of its chain")
-    return op
+def _monic_product(chain: HomogChain, lead: Fraction, error: type[Exception]) -> ABElement:
+    """The chain's product over lead, its a^q coefficient, built from the Euler
+    factors.  One kernel product, the leftmost factor times the rest, must give the
+    same element: it reads every b-term, so it checks a·b^k = b^k·a + k·b^(k+1)."""
+    whole = chain.expand()
+    first = ABElement.linear(*chain.factors[0]) if chain.factors else ABElement.one()
+    if lead == 0 or lead != chain.leading or \
+            first * HomogChain(chain.factors[1:]).expand() != whole:
+        raise error(f"P_{chain.degree} is not the Euler product of its chain")
+    return whole * (1 / lead)
 
 
 def build_operator(spec: PolySpec) -> GMOperator:
@@ -434,14 +437,13 @@ def build_operator(spec: PolySpec) -> GMOperator:
     rel = analyze(spec)
     chain_dh, kappa_dh = monomial_chain(spec, rel.Delta)
     chain_d, kappa_d = monomial_chain(spec, rel.delta)
-    P_dh = chain_dh.expand() * (1 / kappa_dh)
-    P_d = chain_d.expand() * (1 / kappa_d)
+    P_dh = _monic_product(chain_dh, kappa_dh, InternalError)
+    P_d = _monic_product(chain_d, kappa_d, InternalError)
     c = kappa_d / kappa_dh
     if c != rel.c:
         raise InternalError("chain normalization disagrees with the closed-form c")
-    return _certify_euler_products(
-        GMOperator(spec=spec, rel=rel, P_dh=P_dh, P_d=P_d, c=c, r=rel.r,
-                   chain_dh=chain_dh, chain_d=chain_d), InternalError)
+    return GMOperator(spec=spec, rel=rel, P_dh=P_dh, P_d=P_d, c=c, r=rel.r,
+                      chain_dh=chain_dh, chain_d=chain_d)
 
 
 # ---------------------------------------------------------------------------

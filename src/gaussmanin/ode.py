@@ -11,25 +11,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import TYPE_CHECKING
 
-from .abalgebra import ABElement, HomogChain, require_homogeneous
+from .abalgebra import ABElement, HomogChain, require_homogeneous, times_euler_factor
+from .engine import GMOperator
 from .errors import InternalError, NotMonic
 from .scalars import LaurentLambda, UniPoly, as_laurent
 
-if TYPE_CHECKING:   # engine imports ode for its certificate
-    from .engine import GMOperator
-
 #: Euler polynomials are UniPoly values in θ over Q.
 EulerPoly = UniPoly
-
-
-def _falling_basis(max_len: int) -> list[UniPoly]:
-    """F_i(θ) = (θ+1)···(θ+i) for i = 0..max_len."""
-    out = [UniPoly.const(1)]   # integer coefficients: cheaper than Fraction
-    for i in range(1, max_len + 1):
-        out.append(out[-1] * UniPoly((i, 1)))
-    return out
 
 
 def euler_form(p: ABElement) -> EulerPoly:
@@ -44,21 +33,17 @@ def euler_form(p: ABElement) -> EulerPoly:
 
 
 def from_euler(e: EulerPoly, q: int) -> ABElement:
-    """The homogeneous degree-q element whose Euler polynomial is e."""
+    """The homogeneous degree-q element whose Euler polynomial is e: Horner's
+    rule in θ over the falling basis F_i(θ) = b^{-i}·a^i, on integers."""
     if e.degree > q:
         raise ValueError("Euler polynomial degree exceeds the element degree")
-    basis = _falling_basis(q)
-    residual = e.to_rational()
-    terms = {}
-    for k in range(q + 1):
-        i = q - k
-        c = residual[i]
-        if c:
-            terms[(k, i)] = c
-            residual = residual - basis[i].scale(c)
-    if not residual.is_zero():
-        raise InternalError(f"the Euler polynomial leaves a residual {residual}")
-    return ABElement(terms)
+    coeffs = e.to_rational().coeffs
+    den = math.lcm(*(c.denominator for c in coeffs))
+    x = []
+    for c in reversed(coeffs):
+        x = times_euler_factor(x, 1, 0)
+        x[0] += c.numerator * (den // c.denominator)
+    return ABElement.from_numerators({(q - i, i): n for i, n in enumerate(x)}, den)
 
 
 def bernstein_polynomial(q_elem: ABElement) -> UniPoly:
@@ -143,25 +128,12 @@ class DiffOp:
         return " + ".join(chunks)
 
 
-def euler_factors(chain: HomogChain, shift: int = 0) -> list[tuple[int, int]]:
-    """The chain's Euler factors at θ + shift as integer pairs (e_j, t_j) for
-    e_j·θ + t_j: factor j is η_j·(θ + q - j + 1) + θ_j cleared to integers, as
-    b^{-1}·a is θ + 1, shifted by the q - j factors to the right of factor j."""
-    q = chain.degree
-    out = []
-    for j, (eta, theta) in enumerate(chain.factors, 1):
-        scale = math.lcm(eta.denominator, theta.denominator)
-        e = int(eta * scale)
-        out.append((e, e * (q - j + 1 + shift) + int(theta * scale)))
-    return out
-
-
 def euler_to_diffop(chain: HomogChain, shift: int = 0) -> list[int]:
-    """x with Π_j (e_j·θ + t_j) = Σ_k x_k·s^k·D^k over euler_factors(chain, shift):
+    """x with Π_j (e_j·θ + t_j) = Σ_k x_k·s^k·D^k over chain.euler_factors(shift):
     x/x[-1] is the Euler polynomial in the basis s^k·D^k.  A factor maps x_k to
     e·x_{k-1} + (e·k + t)·x_k, as s^k·D^k·θ = s^{k+1}·D^{k+1} + k·s^k·D^k."""
     x = [1]
-    for e, t in euler_factors(chain, shift):
+    for e, t in chain.euler_factors(shift):
         x.append(0)
         for k in range(len(x) - 1, -1, -1):
             x[k] = (e * x[k - 1] if k else 0) + (e * k + t) * x[k]

@@ -17,7 +17,6 @@ from gaussmanin.abalgebra import (
     ABElement,
     HomogChain,
     _mul_int,
-    chain_expand,
     right_divide,
     theta_k,
 )
@@ -165,11 +164,11 @@ def test_theta_involution_antimultiplicative_random():
 
 
 def test_chain_expand_examples():
-    assert chain_expand(HomogChain(((Fraction(1), Fraction(-1)),))) == A - B
+    assert HomogChain(((Fraction(1), Fraction(-1)),)).expand() == A - B
     two = HomogChain(((Fraction(1), Fraction(-2)), (Fraction(1), Fraction(-1))))
-    assert chain_expand(two) == A * A - B * A * 3 + B * B
-    assert chain_expand(HomogChain(((Fraction(6), Fraction(-5)),))) == A * 6 - B * 5
-    assert chain_expand(HomogChain(())) == ABElement.one()
+    assert two.expand() == A * A - B * A * 3 + B * B
+    assert HomogChain(((Fraction(6), Fraction(-5)),)).expand() == A * 6 - B * 5
+    assert HomogChain(()).expand() == ABElement.one()
 
 
 def _right_multiplied(chain: HomogChain) -> ABElement:
@@ -269,6 +268,18 @@ def test_chain_expand_matches_the_rational_left_product_on_specs(name, request):
     rel = analyze(spec)
     for gamma in (rel.Delta, rel.delta):
         chain, _ = monomial_chain(spec, gamma)
+        assert _same_element(chain.expand(), _rational_left_multiplied(chain))
+
+
+def test_chain_expand_uses_no_product_kernel(e61, monkeypatch):
+    rel = analyze(e61)
+    chains = [monomial_chain(e61, gamma)[0] for gamma in (rel.Delta, rel.delta)]
+
+    def refuse(*args):
+        raise AssertionError("the chain product reached _mul_int")
+
+    monkeypatch.setattr(abalgebra, "_mul_int", refuse)
+    for chain in chains:
         assert _same_element(chain.expand(), _rational_left_multiplied(chain))
 
 

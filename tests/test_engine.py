@@ -306,6 +306,16 @@ def test_operator_from_json_refuses_chains_that_disagree_with_P(e2):
         GMOperator.from_json(data)
 
 
+@pytest.mark.parametrize("theta", ["0", "-7/3"])
+def test_operator_from_json_refuses_a_factor_with_eta_zero(e2, theta):
+    # the chain's a-coefficient is then 0: refused before P is divided by it
+    for key, q in (("chain_dh", 6), ("chain_d", 5)):
+        data = build_operator(e2).to_json()
+        data[key][1] = ["0", theta]
+        with pytest.raises(MalformedOperator, match=f"P_{q} is not the Euler product"):
+            GMOperator.from_json(data)
+
+
 def test_operator_from_json_refuses_c_r_or_a_chain_length_off_the_relation(e2):
     # with c doubled the chains still certify P, and the ODE export was wrong
     good = build_operator(e2).to_json()

@@ -5,12 +5,12 @@ from itertools import cycle
 from math import comb, perm
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from conftest import random_monic_chain, random_spec
 from laurent_arith import Laurent, laurent
-from gaussmanin import PolySpec, build_operator, cyclic_symmetric_spec, engine
+from gaussmanin import GMOperator, PolySpec, build_operator, cyclic_symmetric_spec
 from gaussmanin.abalgebra import ABElement, HomogChain
 from gaussmanin.errors import NotHomogeneous, NotMonic
 from gaussmanin.ode import (
@@ -112,6 +112,26 @@ def test_from_euler_inverse():
         q = rng.randint(1, 5)
         chain = random_monic_chain(rng, q)
         assert from_euler(euler_form(chain), q) == chain
+
+
+_euler_coefficients = st.fractions(min_value=-30, max_value=30, max_denominator=12)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 9).flatmap(lambda q: st.tuples(
+    st.just(q), st.lists(_euler_coefficients, min_size=1, max_size=q + 1))))
+@example((4, [Fraction(-5, 6)]))
+@example((3, [Fraction(0), Fraction(2, 7)]))
+def test_from_euler_round_trips_rational_polynomials_of_degree_at_most_q(q_and_coeffs):
+    q, coeffs = q_and_coeffs
+    e = UniPoly(coeffs)
+    assume(not e.is_zero())
+    assert euler_form(from_euler(e, q)) == e
+
+
+def test_from_euler_refuses_a_degree_above_q():
+    with pytest.raises(ValueError, match="exceeds the element degree"):
+        from_euler(UniPoly((Fraction(1), Fraction(0), Fraction(3, 2))), 1)
 
 
 def test_bernstein_polynomial_examples():
@@ -482,7 +502,7 @@ def test_closed_form_export_matches_horner_on_hand_built_chains(request, name):
             g = replace(op, chain_dh=chain_dh, chain_d=chain_d,
                         P_dh=chain_dh.expand() * (1 / chain_dh.leading),
                         P_d=chain_d.expand() * (1 / chain_d.leading))
-            engine._certify_euler_products(g, AssertionError)
+            GMOperator.from_json(g.to_json())
             assert to_differential_operator(g).to_json() == _horner_export(g).to_json()
             branches |= _zero_rule_branches(g)
     assert branches == {"alpha_m = 0, beta_{m-h} != 0", "alpha_m = beta_{m-h} = 0",
