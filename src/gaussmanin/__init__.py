@@ -13,7 +13,6 @@ from .engine import (
     build_operator,
     check_condition_C,
     monomial_chain,
-    chain_paths_agree,
     cyclic_symmetric_spec,
     load_spec_file,
     symmetric_family_bracket,
@@ -59,7 +58,7 @@ __all__ = [
     "ABElement", "HomogChain", "right_divide", "theta_k",
     "CriticalReport", "check_singular_equation", "critical_values", "equation_holds",
     "GMOperator", "PolySpec", "RelationData", "analyze", "build_operator",
-    "check_condition_C", "monomial_chain", "chain_paths_agree", "cyclic_symmetric_spec",
+    "check_condition_C", "monomial_chain", "cyclic_symmetric_spec",
     "load_spec_file", "symmetric_family_bracket", "symmetric_family_operator",
     "FactorizationResult", "IrregularSplit", "PipelineReport",
     "bernstein_element", "hensel_decompose", "is_regular",

@@ -100,6 +100,7 @@ def _load_spec(path, mu: str | None = None) -> PolySpec:
 def _cmd_operator(args) -> int:
     spec = _load_spec(args.spec, args.mu)
     op = build_operator(spec)
+    op.P_dh, op.P_d   # built and checked before the first byte goes out
     if args.format == "json":
         write_json(op.to_json())
     else:

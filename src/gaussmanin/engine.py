@@ -16,7 +16,7 @@ import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 from .abalgebra import ABElement, HomogChain
 from .errors import GammaTouchesH, InternalError, MalformedOperator, MalformedSpec, QuasiHomogeneous
@@ -302,7 +302,8 @@ def _check_relation_invariants(spec: PolySpec, rel: RelationData) -> None:
 
 
 def monomial_chain(spec: PolySpec, gamma) -> tuple[HomogChain, Fraction]:
-    """Chain of degree-1 factors representing multiplication by m^gamma.
+    """Chain of degree-1 factors representing multiplication by m^gamma, and
+    the product κ of its a-coefficients.
 
     gamma is an exponent vector over the n+2 monomials with zero entries on
     H.  Copies are consumed in ascending monomial order; consuming m_j when
@@ -312,27 +313,19 @@ def monomial_chain(spec: PolySpec, gamma) -> tuple[HomogChain, Fraction]:
     inverse of M~.
     """
     rel = analyze(spec)
-    mono = spec.n_monomials
     gamma = tuple(int(g) for g in gamma)
-    if len(gamma) != mono or any(g < 0 for g in gamma):
+    if len(gamma) != spec.n_monomials or any(g < 0 for g in gamma):
         raise MalformedSpec("gamma must be a nonnegative vector over the n+2 monomials")
     for j in rel.H:
         if gamma[j]:
             raise GammaTouchesH(f"gamma has a nonzero entry at index {j} in H")
-    return _chain(spec, rel, gamma, range(mono))
-
-
-def _chain(spec: PolySpec, rel: RelationData, gamma,
-           order) -> tuple[HomogChain, Fraction]:
-    """The chain for m^gamma consuming the monomials in the given index order,
-    and the product κ of its a-coefficients."""
     exps = [Fraction(e) for e in spec.mu]   # Γ_i of the accumulated monomial
     factors: list[tuple[Fraction, Fraction]] = []
     kappa = Fraction(1)
     inv = rel.mtilde_inv
-    for j in order:
+    for j, g in enumerate(gamma):
         col = spec.column(j)
-        for _ in range(gamma[j]):
+        for _ in range(g):
             eta = inv[j][0]
             theta = sum(inv[j][1 + i] * (exps[i] + 1) for i in range(spec.n_vars))
             factors.append((eta, theta))
@@ -343,32 +336,28 @@ def _chain(spec: PolySpec, rel: RelationData, gamma,
     return HomogChain(tuple(factors)), kappa
 
 
-def chain_paths_agree(spec: PolySpec, gamma) -> bool:
-    """Diagnostic: compare the canonical ascending-index chain with the
-    descending-index alternative as elements of the algebra.
-
-    The construction only pins the class of the chain in the quotient
-    module, so disagreement here is informative, not an error.
-    """
-    asc, _ = monomial_chain(spec, gamma)
-    desc, _ = _chain(spec, analyze(spec), [int(g) for g in gamma],
-                     range(spec.n_monomials - 1, -1, -1))
-    return asc.expand() == desc.expand()
-
-
 @dataclass(frozen=True, eq=False)
 class GMOperator:
     """The operator P = P_dh - c·λ^r·P_d annihilating the period integrals
-    of μ·dx/df for the spec's polynomial."""
+    of μ·dx/df for the spec's polynomial.  P_dh and P_d are the monic
+    products of the two chains, built and checked when first read."""
 
     spec: PolySpec
     rel: RelationData
-    P_dh: ABElement            # monic homogeneous of degree d+h
-    P_d: ABElement             # monic homogeneous of degree d
     c: Fraction
     r: int
     chain_dh: HomogChain
     chain_d: HomogChain
+
+    @cached_property
+    def P_dh(self) -> ABElement:
+        """Monic homogeneous of degree d+h."""
+        return _monic_product(self.chain_dh, InternalError)
+
+    @cached_property
+    def P_d(self) -> ABElement:
+        """Monic homogeneous of degree d."""
+        return _monic_product(self.chain_d, InternalError)
 
     @property
     def d(self) -> int:
@@ -403,47 +392,49 @@ class GMOperator:
         op = cls(
             spec=PolySpec.from_json(data["spec"]),
             rel=RelationData.from_json(data["relation"]),
-            P_dh=ABElement.from_json(data["P_dh"]),
-            P_d=ABElement.from_json(data["P_d"]),
             c=Fraction(data["c"]),
             r=int(data["r"]),
             chain_dh=HomogChain.from_json(data["chain_dh"]),
             chain_d=HomogChain.from_json(data["chain_d"]),
         )
         rel = op.rel
+        if rel != analyze(op.spec):
+            raise MalformedOperator("the relation is not the spec's")
         if (op.c, op.r, op.chain_dh.degree, op.chain_d.degree) != \
                 (rel.c, rel.r, rel.d + rel.h, rel.d):
             raise MalformedOperator("c, r or a chain length disagrees with the relation")
-        for chain, p in ((op.chain_dh, op.P_dh), (op.chain_d, op.P_d)):
-            if _monic_product(chain, chain.leading, MalformedOperator) != p:
+        for chain, key in ((op.chain_dh, "P_dh"), (op.chain_d, "P_d")):
+            if _monic_product(chain, MalformedOperator) != ABElement.from_json(data[key]):
                 raise MalformedOperator(f"P_{chain.degree} is not the Euler product of its chain")
         return op
 
 
-def _monic_product(chain: HomogChain, lead: Fraction, error: type[Exception]) -> ABElement:
-    """The chain's product over lead, its a^q coefficient, built from the Euler
+def _monic_product(chain: HomogChain, error: type[Exception]) -> ABElement:
+    """The chain's product over its a^q coefficient, built from the Euler
     factors.  One kernel product, the leftmost factor times the rest, must give the
     same element: it reads every b-term, so it checks a·b^k = b^k·a + k·b^(k+1)."""
     whole = chain.expand()
     first = ABElement.linear(*chain.factors[0]) if chain.factors else ABElement.one()
-    if lead == 0 or lead != chain.leading or \
-            first * HomogChain(chain.factors[1:]).expand() != whole:
+    lead = chain.leading
+    if lead == 0 or first * HomogChain(chain.factors[1:]).expand() != whole:
         raise error(f"P_{chain.degree} is not the Euler product of its chain")
     return whole * (1 / lead)
 
 
 def build_operator(spec: PolySpec) -> GMOperator:
-    """Construct the Gauss-Manin operator for the spec."""
+    """Construct the Gauss-Manin operator for the spec from its two chains.
+    The chains' κ must be their a-coefficients, so P_{d+h} ≡ a^{d+h} and
+    P_d ≡ a^d mod b; the products themselves are built on first read."""
     rel = analyze(spec)
     chain_dh, kappa_dh = monomial_chain(spec, rel.Delta)
     chain_d, kappa_d = monomial_chain(spec, rel.delta)
-    P_dh = _monic_product(chain_dh, kappa_dh, InternalError)
-    P_d = _monic_product(chain_d, kappa_d, InternalError)
+    for chain, kappa in ((chain_dh, kappa_dh), (chain_d, kappa_d)):
+        if kappa != chain.leading:
+            raise InternalError(f"P_{chain.degree} is not the Euler product of its chain")
     c = kappa_d / kappa_dh
     if c != rel.c:
         raise InternalError("chain normalization disagrees with the closed-form c")
-    return GMOperator(spec=spec, rel=rel, P_dh=P_dh, P_d=P_d, c=c, r=rel.r,
-                      chain_dh=chain_dh, chain_d=chain_d)
+    return GMOperator(spec=spec, rel=rel, c=c, r=rel.r, chain_dh=chain_dh, chain_d=chain_d)
 
 
 # ---------------------------------------------------------------------------

@@ -257,6 +257,8 @@ class DependenceRelation:
 
     @classmethod
     def from_json(cls, data, spec: PolySpec) -> "DependenceRelation":
+        """The relation in data, refused unless it is the spec's; the last check
+        expands the spec's relation, so it costs a `dependence_relation`."""
         try:
             coeffs = [{tuple(t["u"]): LaurentLambda.from_json(t["c"]) for t in entry["terms"]}
                       for entry in data["coefficients"]]
@@ -269,6 +271,8 @@ class DependenceRelation:
                                     f"with the spec's d+h = {rel.d + rel.h} and r = {rel.r}")
         if not relation.is_monic():
             raise MalformedRelation(f"the relation is not monic of degree {relation.degree} in f")
+        if relation.to_json() != dependence_relation(spec).to_json():
+            raise MalformedRelation("the relation is not the spec's expansion")
         return relation
 
     def factored_str(self) -> str:

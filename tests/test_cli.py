@@ -8,7 +8,7 @@ from fractions import Fraction
 import pytest
 
 from conftest import ROOT_PRIMES, SPEC_DIR, run_python, src_env
-from gaussmanin import cli, critical, intdep
+from gaussmanin import cli, critical, engine, intdep
 from gaussmanin.cli import main
 from gaussmanin.engine import RelationData, GMOperator, analyze, build_operator, load_spec_file
 from gaussmanin.intdep import verify_cost
@@ -74,6 +74,15 @@ def test_reference_reject_exits_2_with_one_line(capsys, monkeypatch, job):
     code, out, err = run_cli(capsys, *job.split())
     assert code == 2 and out == "" and err == REJECT_JOBS[job]
     assert REFERENCE[job] == hashlib.sha256(b"").hexdigest()
+
+
+def test_ode_builds_no_P(capsys, monkeypatch):
+    # the ODE export reads only the chains, c, r, d and h
+    def refuse(chain, error):
+        raise AssertionError("a P was built")
+
+    monkeypatch.setattr(engine, "_monic_product", refuse)
+    _check_reference_bytes(capsys, monkeypatch, "ode specs/e61.json --format json")
 
 
 def test_every_reference_job_is_pinned():
@@ -468,10 +477,11 @@ def test_selftest_fails_under_python_O_on_a_wrong_product_rule():
 def test_euler_product_certificate_catches_a_wrong_product_rule():
     script = _WRONG_PRODUCT_RULE + "sys.exit(cli.main(sys.argv[1:]))"
     for flags in ((), ("-O",)):
-        proc = run_python(*flags, "-c", script, "operator", str(SPEC_DIR / "e2.json"))
-        assert proc.returncode == 1 and proc.stdout == ""
-        assert proc.stderr.count("\n") == 1
-        assert proc.stderr.startswith("internal error: P_6 is not the Euler product")
+        for fmt in ((), ("--format", "json")):
+            proc = run_python(*flags, "-c", script, "operator", str(SPEC_DIR / "e2.json"), *fmt)
+            assert proc.returncode == 1 and proc.stdout == ""
+            assert proc.stderr.count("\n") == 1
+            assert proc.stderr.startswith("internal error: P_6 is not the Euler product")
 
 
 def test_factor_when_every_table_prime_divides_the_leading_coefficient(tmp_path):

@@ -13,7 +13,6 @@ from gaussmanin import (
     build_operator,
     check_condition_C,
     monomial_chain,
-    chain_paths_agree,
     cyclic_symmetric_spec,
     symmetric_family_bracket,
     symmetric_family_operator,
@@ -167,8 +166,8 @@ def test_build_operator_checks_c_against_the_closed_form(e2, monkeypatch):
 
 
 def test_build_operator_checks_the_class_mod_b(e2, monkeypatch):
-    # doubling η of the leftmost factor keeps c but breaks P_6 ≡ a^6 mod b,
-    # the θ^6 coefficient of the Euler-product certificate
+    # doubling η of the leftmost factor keeps c but breaks P_6 ≡ a^6 mod b:
+    # κ from monomial_chain is then not the chain's a-coefficient
     real = engine.monomial_chain
 
     def perturbed(spec, gamma):
@@ -267,11 +266,19 @@ def test_chain_vs_closed_form_on_random_specs():
         assert op.P_dh.is_monic_in_a()
 
 
-def test_chain_paths_diagnostic(e2):
-    rel = analyze(e2)
-    assert chain_paths_agree(e2, rel.Delta)   # single monomial: no choice
-    # for the mixed path the two orders happen to agree here as elements
-    assert isinstance(chain_paths_agree(e2, rel.delta), bool)
+def test_P_is_built_once_on_first_read(e2, monkeypatch):
+    calls = []
+    real = engine._monic_product
+
+    def counted(chain, error):
+        calls.append(chain.degree)
+        return real(chain, error)
+
+    monkeypatch.setattr(engine, "_monic_product", counted)
+    op = build_operator(e2)
+    assert calls == []
+    assert op.P_dh is op.P_dh and op.P_dh.ab_degree == 6
+    assert calls == [6]
 
 
 def test_spec_json_roundtrip(e61):
@@ -326,6 +333,14 @@ def test_operator_from_json_refuses_c_r_or_a_chain_length_off_the_relation(e2):
         data[key] = value
         with pytest.raises(MalformedOperator, match="disagrees with the relation"):
             GMOperator.from_json(data)
+
+
+def test_operator_from_json_refuses_a_relation_that_is_not_the_spec_s(e2):
+    # the relation, chains and P stay e2's while the spec's λ-monomial moves
+    data = build_operator(e2).to_json()
+    data["spec"]["lambda_monomial"] = [1, 2]
+    with pytest.raises(MalformedOperator, match="relation is not the spec's"):
+        GMOperator.from_json(data)
 
 
 def test_analyze_cached_and_shared_across_mu(e2):
@@ -395,4 +410,4 @@ def test_euler_product_certificate_reads_the_b_terms(monkeypatch, e2):
     monkeypatch.setattr(HomogChain, "expand", lambda chain: expand(chain) + ABElement(
         {(1, chain.degree - 1): Fraction(1)}))
     with pytest.raises(InternalError, match="P_6 is not the Euler product"):
-        build_operator(e2)
+        build_operator(e2).P_dh
