@@ -406,6 +406,9 @@ class GMOperator:
         for chain, key in ((op.chain_dh, "P_dh"), (op.chain_d, "P_d")):
             if _monic_product(chain, MalformedOperator) != ABElement.from_json(data[key]):
                 raise MalformedOperator(f"P_{chain.degree} is not the Euler product of its chain")
+        for chain, gamma in ((op.chain_dh, rel.Delta), (op.chain_d, rel.delta)):
+            if chain != monomial_chain(op.spec, gamma)[0]:
+                raise MalformedOperator(f"the chain of P_{chain.degree} is not the spec's")
         return op
 
 

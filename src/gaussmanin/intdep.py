@@ -258,7 +258,8 @@ class DependenceRelation:
     @classmethod
     def from_json(cls, data, spec: PolySpec) -> "DependenceRelation":
         """The relation in data, refused unless it is the spec's; the last check
-        expands the spec's relation, so it costs a `dependence_relation`."""
+        is `verify_identity`'s certificate, which with the monic check pins
+        both products and both scales to the spec's expansion."""
         try:
             coeffs = [{tuple(t["u"]): LaurentLambda.from_json(t["c"]) for t in entry["terms"]}
                       for entry in data["coefficients"]]
@@ -271,7 +272,7 @@ class DependenceRelation:
                                     f"with the spec's d+h = {rel.d + rel.h} and r = {rel.r}")
         if not relation.is_monic():
             raise MalformedRelation(f"the relation is not monic of degree {relation.degree} in f")
-        if relation.to_json() != dependence_relation(spec).to_json():
+        if not verify_identity(relation):
             raise MalformedRelation("the relation is not the spec's expansion")
         return relation
 
@@ -339,58 +340,51 @@ def dependence_relation(spec: PolySpec) -> DependenceRelation:
 
 
 # ---------------------------------------------------------------------------
-# Exact verification by full multivariate expansion
+# Exact verification by a certificate
 # ---------------------------------------------------------------------------
 
-def _horner(terms: dict[int, _Poly], base: int, values: list[_Poly]) -> _Poly:
-    """Σ c·Π values[i]^e_i over the items (Σ e_i·base^i, c) of terms, by
-    Horner's rule in the lowest digit and recursively in the rest."""
-    if not values:
-        return terms[0]
-    groups: dict[int, dict] = {}
-    for key, c in terms.items():
-        rest, k = divmod(key, base)
-        groups.setdefault(k, {})[rest] = c
-    acc: _Poly = {}
-    for k in range(max(groups), -1, -1):
-        inner = _horner(groups[k], base, values[1:]) if k in groups else None
-        acc = _mul(acc, values[0], inner)
-    return acc
-
-
-def verify_cost(spec: PolySpec) -> int:
-    """A bound on the work of `verify_identity`, before any expansion: the
-    relation's dense term count times the largest x-exponent it reaches."""
-    rel = analyze(spec)
-    n, dh = spec.n_vars, rel.d + rel.h
-    largest = max(max(col) for col in [*spec.monomials, spec.lambda_monomial])
-    return (math.comb(dh + n + 1, n + 1) + math.comb(rel.d + n + 1, n + 1)) * dh * largest
-
-
 def verify_identity(relation: DependenceRelation) -> bool:
-    """Substitute the actual polynomials f and u_i = x_i·∂f/∂x_i into the
-    expanded relation and check that the result is exactly zero.
+    """Whether the relation vanishes when f and u_i = x_i·∂f/∂x_i are
+    substituted, by a certificate that costs about as much as the relation.
 
-    Keys pack the x-exponents below the λ-exponent, in a base above the
-    largest x-exponent any term can reach.  The two integer maps are scaled
-    to one common denominator, which keeps the zero test exact.
+    With T_j the terms of f (λ in the last) and F_j the integer row
+    det·M̃⁻¹[j], rows·M̃ = det·I gives F_j(f, u) = det·T_j, and
+    Σ (Δ_j − δ_j)·(α_j, [j is λ]) = (0, ..., 0, r) makes both parts
+    substitute to one monomial.  Each product p must be k·Π F_j^A_j, A = Δ
+    or δ: with S = {j : A_j > 0}, Q = Π_S F_j, R = Σ_S A_j·a_j·Π_{i≠j} F_i
+    and a_j the f-entry of F_j, a p with Q·∂_f p = R·p is c(u)·Π F_j^A_j, and
+    c is the constant k = p[f^q]/Π a_j^A_j when p has f-degree q = |A| and
+    its f^q block is one constant.  Last, k_0·s_0·det^|Δ| + k_r·s_r·det^|δ|
+    must be 0.
     """
-    spec = relation.spec
-    n = spec.n_vars
-    cols = list(spec.monomials) + [spec.lambda_monomial]
-    top = max(k + sum(e) for k, coeff in enumerate(relation.coefficients) for e in coeff)
-    base = top * max(max(col) for col in cols) + 1
-    lam_key = base ** n
-    keys = [sum(e * base ** i for i, e in enumerate(col)) for col in cols]
-    keys[-1] += lam_key
-    f = dict.fromkeys(keys, 1)
-    us = [{key: col[i] for key, col in zip(keys, cols) if col[i]} for i in range(n)]
-
-    den = math.lcm(*(scale.denominator for _, scale in relation.parts))
-    packed: dict[int, _Poly] = {}
-    for (nums, scale), le in zip(relation.parts, (0, relation.r)):
-        m = scale.numerator * (den // scale.denominator)
-        for key, a in nums.items():
-            packed.setdefault(key, {})[le * lam_key] = a * m
-    # a relation key's digits from the lowest are those of f, u_{n-1}, ..., u_0
-    return not _horner(packed, relation.base, [f] + us[::-1])
+    spec, base = relation.spec, relation.base
+    rel, n = analyze(spec), spec.n_vars
+    mtilde = spec.mtilde()
+    det = mat_det(mtilde)
+    rows = [[x * det for x in row] for row in rel.mtilde_inv]
+    if any(sum(a * b for a, b in zip(row, col)) != det * (t == j)
+           for j, row in enumerate(rows) for t, col in enumerate(zip(*mtilde))):
+        return False
+    rows = [[int(x) for x in row] for row in rows]   # the adjugate of M̃
+    cols = [(*spec.column(j), j == n) for j in range(n + 1)]
+    if [sum((a - b) * col[i] for a, b, col in zip(rel.Delta, rel.delta, cols))
+            for i in range(n + 1)] != [0] * n + [relation.r]:
+        return False
+    total = 0
+    for (p, scale), vec in zip(relation.parts, (rel.Delta, rel.delta)):
+        S, q = [j for j, a in enumerate(vec) if a], sum(vec)
+        big = base + len(S)   # Q·∂_f p and R·p reach the digit base + |S| − 1
+        old, new = ([b ** i for i in range(n, -1, -1)] for b in (base, big))
+        p = {sum([key // o % base * w for o, w in zip(old, new)]): c for key, c in p.items()}
+        if [key for key in p if key % big >= q] != [q]:
+            return False
+        Q, R, lead = {0: 1}, {}, 1
+        for j in S:
+            form = {w: x for w, x in zip([1, *new[:-1]], rows[j]) if x}
+            R = _mul(R, form, {k: c * vec[j] * rows[j][0] for k, c in Q.items()})
+            Q, lead = _mul(Q, form), lead * rows[j][0] ** vec[j]
+        dp = {key - 1: c * (key % big) for key, c in p.items() if key % big}
+        if _mul(p, {k: -c for k, c in R.items()}, _mul(dp, Q)):
+            return False
+        total += Fraction(p[q], lead) * scale * det ** q
+    return total == 0

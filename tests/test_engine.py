@@ -335,6 +335,14 @@ def test_operator_from_json_refuses_c_r_or_a_chain_length_off_the_relation(e2):
             GMOperator.from_json(data)
 
 
+def test_operator_from_json_refuses_chains_that_are_not_the_spec_s(e2):
+    # the chains and P stay e2's with μ = 0 while the spec's μ moves
+    data = build_operator(e2).to_json()
+    data["spec"]["mu"] = [1, 0]
+    with pytest.raises(MalformedOperator, match="chain of P_6 is not the spec's"):
+        GMOperator.from_json(data)
+
+
 def test_operator_from_json_refuses_a_relation_that_is_not_the_spec_s(e2):
     # the relation, chains and P stay e2's while the spec's λ-monomial moves
     data = build_operator(e2).to_json()

@@ -7,9 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import FAMILY_ALPHAS, SPEC_DIR, random_spec
+from conftest import FAMILY_ALPHAS, SPEC_DIR, random_spec, run_python
 from laurent_arith import Laurent
-from gaussmanin import PolySpec, analyze, cli, cyclic_symmetric_spec
+from gaussmanin import PolySpec, analyze, cli, cyclic_symmetric_spec, load_spec_file
 from gaussmanin.errors import MalformedRelation, MalformedSpec
 from gaussmanin.intdep import (
     DependenceRelation,
@@ -260,6 +260,88 @@ def test_packed_expansion_and_check_match_the_oracles_on_random_specs(seed):
     assert relation.to_json() == _oracle_relation(spec).to_json()
     for candidate in [relation, *_perturbations(relation)]:
         assert verify_identity(candidate) == _oracle_verify(candidate)
+
+
+# the oracle's x-space expansion grows fast with the number of variables
+_ORACLE_WEIGHT = {2: 12, 3: 8, 4: 6}
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.integers(0, 2 ** 32), st.integers(2, 4), st.booleans())
+def test_certificate_matches_the_x_space_oracle_in_2_to_4_variables(seed, n, positive):
+    rng = random.Random(seed)
+    while True:
+        spec = random_spec(rng, max_vars=4, max_entry=4, max_weight=_ORACLE_WEIGHT[n])
+        if spec.n_vars == n and (analyze(spec).r > 0) == positive:
+            break
+    relation = dependence_relation(spec)
+    for candidate in [relation, *_perturbations(relation)]:
+        assert verify_identity(candidate) == _oracle_verify(candidate)
+
+
+# Each fault makes verify_identity return False, never raise; argv holds the
+# spec files.  A form row is faulted through a patched analyze, once in a
+# u-entry and once in its f-entry: set to 0, or to 1 on H, where it is 0.
+_FAULTS = r"""
+import dataclasses, sys
+from gaussmanin import intdep, load_spec_file
+from gaussmanin.intdep import dependence_relation, verify_identity
+
+for path in sys.argv[1:]:
+    relation = dependence_relation(load_spec_file(path))
+    rel = intdep.analyze(relation.spec)
+    if not verify_identity(relation):
+        sys.exit(f"{path}: the unfaulted relation fails")
+    for i, (nums, scale) in enumerate(relation.parts):
+        faulted = []
+        for block in (0, 1):
+            key = min(k for k in nums if k % relation.base == block)
+            faulted.append((f"f^{block}", ({**nums, key: nums[key] + 1}, scale)))
+        faulted.append(("scale", (nums, 2 * scale)))
+        for label, part in faulted:
+            parts = list(relation.parts)
+            parts[i] = part
+            wrong = dataclasses.replace(relation, parts=tuple(parts))
+            print(path, f"part {i}, {label}", verify_identity(wrong))
+    # the λ^r product has degree d < d+h, so u_{n-1}'s digit may grow by one:
+    # times 1 + u_{n-1} it still solves Q·∂_f P = R·P, with f^d block 1 + u_{n-1}
+    nums, scale = relation.parts[1]
+    times = dict(nums)
+    for key, c in nums.items():
+        times[key + relation.base] = times.get(key + relation.base, 0) + c
+    wrong = dataclasses.replace(relation, parts=(relation.parts[0], (times, scale)))
+    print(path, "part 1 times 1 + u", verify_identity(wrong))
+    print(path, "r + 1", verify_identity(dataclasses.replace(relation, r=relation.r + 1)))
+    analyze = intdep.analyze
+    for j, row in enumerate(rel.mtilde_inv):
+        for v, value in ((1, row[1] + 1), (0, 0 if row[0] else 1)):
+            rows = list(rel.mtilde_inv)
+            rows[j] = row[:v] + (value,) + row[v + 1:]
+            intdep.analyze = lambda spec: dataclasses.replace(rel, mtilde_inv=tuple(rows))
+            print(path, f"row {j}, entry {v}", verify_identity(relation))
+    intdep.analyze = analyze
+"""
+
+
+def test_every_injected_fault_fails_the_certificate_under_python_O():
+    specs = [str(SPEC_DIR / f"{name}.json") for name in ("e2", "e3", "e4", "quintic")]
+    for flags in ((), ("-O",)):
+        proc = run_python(*flags, "-c", _FAULTS, *specs)
+        assert proc.returncode == 0, proc.stderr
+        results = [line.rsplit(" ", 1)[1] for line in proc.stdout.splitlines()]
+        # per spec: 2 parts × (2 coefficients + 1 scale), 2 more faults and 2 per form row
+        assert len(results) == sum(8 + 2 * load_spec_file(path).n_monomials for path in specs)
+        assert set(results) == {"False"}
+
+
+def test_from_json_refuses_a_relation_without_its_lambda_r_part(e2):
+    data = dependence_relation(e2).to_json()
+    for entry in data["coefficients"]:
+        for term in entry["terms"]:
+            term["c"] = [item for item in term["c"] if item[0] != 6]
+        entry["terms"] = [term for term in entry["terms"] if term["c"]]
+    with pytest.raises(MalformedRelation, match="not the spec's expansion"):
+        DependenceRelation.from_json(data, e2)
 
 
 def _refuse(*args, **kwargs):

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from conftest import random_monic_chain, random_spec
 from laurent_arith import Laurent, laurent
-from gaussmanin import GMOperator, PolySpec, build_operator, cyclic_symmetric_spec
+from gaussmanin import PolySpec, build_operator, cyclic_symmetric_spec
 from gaussmanin.abalgebra import ABElement, HomogChain
 from gaussmanin.errors import NotHomogeneous, NotMonic
 from gaussmanin.ode import (
@@ -500,7 +500,7 @@ def test_closed_form_export_matches_horner_on_hand_built_chains(request, name):
             chain_dh = _chain_with_roots(lead(op.d + op.h), etas)
             chain_d = _chain_with_roots(tail(op.d, op.h), etas)
             g = replace(op, chain_dh=chain_dh, chain_d=chain_d)
-            GMOperator.from_json(g.to_json())
+            g.P_dh, g.P_d   # the first reads run the kernel check on the chains
             assert to_differential_operator(g).to_json() == _horner_export(g).to_json()
             branches |= _zero_rule_branches(g)
     assert branches == {"alpha_m = 0, beta_{m-h} != 0", "alpha_m = beta_{m-h} = 0",
