@@ -26,6 +26,7 @@ import math
 from collections.abc import Mapping
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 from .errors import (
     MalformedSpec,
@@ -493,6 +494,17 @@ def times_euler_factor(x: list, e, t) -> list:
             for i, (prev, xi) in enumerate(zip([0, *x], [*x, 0]), 1)]
 
 
+def _clearing_scale(eta: Fraction, theta: Fraction) -> int:
+    return math.lcm(eta.denominator, theta.denominator)
+
+
+def _falling_element(x: list, den: int) -> ABElement:
+    """Σ x_i·b^(q-i)·a^i / den, q = len(x) - 1: the falling-basis coordinates of an
+    Euler polynomial as the homogeneous element they stand for."""
+    q = len(x) - 1
+    return ABElement.from_numerators({(q - i, i): n for i, n in enumerate(x)}, den)
+
+
 @dataclass(frozen=True)
 class HomogChain:
     """Ordered product of degree-1 factors (eta·a + theta·b), leftmost first."""
@@ -517,21 +529,34 @@ class HomogChain:
         q = self.degree
         out = []
         for j, (eta, theta) in enumerate(self.factors, 1):
-            scale = math.lcm(eta.denominator, theta.denominator)
+            scale = _clearing_scale(eta, theta)
             e = int(eta * scale)
             out.append((e, e * (q - j + 1 + shift) + int(theta * scale)))
         return out
 
+    @cached_property
+    def _tail_build(self) -> tuple[list, int]:
+        """The falling-basis coordinates of factors[1:] and their clearing scale,
+        built once for `expand` and `expand_tail`: factor j of the chain and factor
+        j - 1 of its tail have the same Euler factor."""
+        x = [1]
+        for e, t in self.euler_factors()[1:]:
+            x = times_euler_factor(x, e, t)
+        return x, math.prod(_clearing_scale(*f) for f in self.factors[1:])
+
     def expand(self) -> ABElement:
         # The Euler polynomial Σ x_i·F_i(θ) on integers, with F_i(θ) = b^{-i}·a^i: the
         # product is Σ x_i·b^(q-i)·a^i over the product of the factors' clearing scales.
-        x = [1]
-        for e, t in self.euler_factors():
-            x = times_euler_factor(x, e, t)
-        den = math.prod(math.lcm(eta.denominator, theta.denominator)
-                        for eta, theta in self.factors)
-        q = self.degree
-        return ABElement.from_numerators({(q - i, i): n for i, n in enumerate(x)}, den)
+        # It is the tail's times factor 1's Euler factor, as Euler polynomials commute.
+        x, den = self._tail_build
+        if self.factors:
+            x = times_euler_factor(x, *self.euler_factors()[0])
+            den *= _clearing_scale(*self.factors[0])
+        return _falling_element(x, den)
+
+    def expand_tail(self) -> ABElement:
+        """The product of factors[1:], from the build that `expand` steps on."""
+        return _falling_element(*self._tail_build)
 
     def to_json(self) -> list:
         return [[str(e), str(t)] for e, t in self.factors]

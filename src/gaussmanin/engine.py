@@ -415,11 +415,12 @@ class GMOperator:
 def _monic_product(chain: HomogChain, error: type[Exception]) -> ABElement:
     """The chain's product over its a^q coefficient, built from the Euler
     factors.  One kernel product, the leftmost factor times the rest, must give the
-    same element: it reads every b-term, so it checks a·b^k = b^k·a + k·b^(k+1)."""
+    same element: it reads every b-term, so it checks a·b^k = b^k·a + k·b^(k+1).
+    The rest is the build that the whole takes one more Euler step on."""
     whole = chain.expand()
     first = ABElement.linear(*chain.factors[0]) if chain.factors else ABElement.one()
     lead = chain.leading
-    if lead == 0 or first * HomogChain(chain.factors[1:]).expand() != whole:
+    if lead == 0 or first * chain.expand_tail() != whole:
         raise error(f"P_{chain.degree} is not the Euler product of its chain")
     return whole * (1 / lead)
 

@@ -296,13 +296,62 @@ class DependenceRelation:
         return "\n+ ".join(lines)
 
 
+def _power_product(forms: list[_Poly], vec, base: int) -> _Poly:
+    """Π_j L_j^vec_j for integer linear forms L_j = a_j·f + ℓ_j(u), block by
+    block in the power of f.
+
+    With S = {j : vec_j > 0}, m = |S| and q = Σ vec_j, Q = Π_S L_j and
+    R = Σ_S vec_j·a_j·Π_{i≠j} L_i, the product P = Σ_k f^k·P_k(u) solves
+    Q·∂_f P = R·P.  Splitting Q = Σ_i f^i·Q_i and R = Σ_i f^i·R_i, the
+    coefficient of f^(k+m-1) gives, for k < q,
+    Q_m·(k - q)·P_k = Σ_{s=1..m} C_s(k)·P_{k+s} with
+    C_s(k) = R_{m-1-s} - (k+s)·Q_{m-s} (R_{-1} = 0), homogeneous of u-degree
+    s: one multiplier per block above, from P_q = Π a_j^vec_j down.  Each
+    division must be exact.  Blocks are kept with the f digit cleared.
+    """
+    S = [j for j, a in enumerate(vec) if a]
+    m, q = len(S), sum(vec)
+    Q, R = {0: 1}, {}
+    for j in S:
+        a = forms[j].get(1, 0)
+        if not a:
+            raise InternalError(f"the form of monomial {j} has no f-term but a power {vec[j]}")
+        R = _mul(R, forms[j], {k: c * vec[j] * a for k, c in Q.items()})
+        Q = _mul(Q, forms[j])
+    Qs: list[_Poly] = [{} for _ in range(m + 1)]
+    Rs: list[_Poly] = [{} for _ in range(m)]
+    for poly, split in ((Q, Qs), (R, Rs)):
+        for key, c in poly.items():
+            split[key % base][key - key % base] = c
+    lead = Qs[m][0]
+    blocks: list[_Poly] = [{} for _ in range(q)] + [{0: math.prod(
+        forms[j][1] ** vec[j] for j in S)}]
+    for k in range(q - 1, -1, -1):
+        acc: _Poly = {}
+        for s in range(1, min(m, q - k) + 1):
+            mult = {u: -(k + s) * c for u, c in Qs[m - s].items()}
+            for u, c in (Rs[m - 1 - s] if s < m else {}).items():
+                mult[u] = mult.get(u, 0) + c
+            acc = _mul(blocks[k + s], mult, acc)
+        div, block = lead * (k - q), {}
+        for u, c in acc.items():
+            v, rem = divmod(c, div)
+            if rem:
+                raise InternalError(f"the f^{k} block of a product does not divide by {div}")
+            block[u] = v
+        blocks[k] = block
+    return {u + k: c for k, block in enumerate(blocks) for u, c in block.items()}
+
+
 def dependence_relation(spec: PolySpec) -> DependenceRelation:
     """Expand the relation as a monic polynomial in f.
 
-    Expansion runs over scaled integer rows (determinant times the inverse
-    matrix), and the two products are stored as they come out, each with
-    one rational scale.  Keys pack the exponents of (f, u_0..u_n) in base
-    d+h+1, above any exponent.
+    Expansion runs over the scaled integer rows L_j (determinant times the
+    inverse matrix).  Each product Π L_j^A_j, A = Δ or δ, comes from
+    `_power_product` by the recurrence in the power of f that
+    Q·∂_f P = R·P gives, and is stored as it comes out, with one rational
+    scale.  Keys pack the exponents of (f, u_0..u_n) in base d+h+1, above
+    any exponent.  `verify_identity` checks the result with its own Q and R.
     """
     rel = analyze(spec)
     n = spec.n_vars
@@ -318,13 +367,6 @@ def dependence_relation(spec: PolySpec) -> DependenceRelation:
             raise InternalError(f"det·M̃⁻¹ has a non-integer entry in row {j}")
         forms.append({places[v]: int(x) for v, x in enumerate(row) if x})
 
-    def product(vec) -> _Poly:
-        poly: _Poly = {0: 1}
-        for j in range(mono):
-            for _ in range(vec[j]):
-                poly = _mul(poly, forms[j])
-        return poly
-
     kappa_dh = Fraction(1)
     for j in range(mono):
         if rel.Delta[j]:
@@ -332,8 +374,8 @@ def dependence_relation(spec: PolySpec) -> DependenceRelation:
 
     relation = DependenceRelation(
         spec=spec, degree=dh, r=rel.r, base=base,
-        parts=((product(rel.Delta), 1 / (det ** dh * kappa_dh)),        # det^(d+h) · Π L^Δ
-               (product(rel.delta), -1 / (det ** d * kappa_dh))))      # det^d · Π L^δ
+        parts=((_power_product(forms, rel.Delta, base), 1 / (det ** dh * kappa_dh)),  # det^(d+h)·Π L^Δ
+               (_power_product(forms, rel.delta, base), -1 / (det ** d * kappa_dh))))  # det^d·Π L^δ
     if not relation.is_monic():
         raise InternalError(f"the expanded relation is not monic of degree {dh} in f")
     return relation

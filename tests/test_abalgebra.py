@@ -190,6 +190,15 @@ def test_chain_expand_matches_right_multiplication(factors):
     assert chain.expand() == _right_multiplied(chain)
 
 
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.tuples(_small_fractions, _small_fractions), max_size=12))
+def test_chain_tail_is_the_chain_without_its_leftmost_factor(factors):
+    # the tail first, so that `expand` steps on the build `expand_tail` made
+    chain = HomogChain(tuple(factors))
+    assert chain.expand_tail() == _right_multiplied(HomogChain(tuple(factors[1:])))
+    assert chain.expand() == _right_multiplied(chain)
+
+
 @pytest.mark.parametrize("name", ["e2", "e3", "e4"])
 def test_chain_expand_matches_right_multiplication_on_specs(name, request):
     spec = request.getfixturevalue(name)

@@ -129,17 +129,35 @@ def test_analyze_batch_json_prints_nothing_before_a_bad_spec(capsys, tmp_path):
     assert err.count("\n") == 1
 
 
+def _intdep_json_sha256(tmp_path, a: int, b: int) -> str:
+    """The stdout sha256 of `intdep --format json` on x^a + y^b + λxy."""
+    spec = tmp_path / f"x{a}y{b}.json"
+    spec.write_text(json.dumps({"nvars": 2, "monomials": [[a, 0], [0, b]],
+                                "lambda_monomial": [1, 1], "mu": [0, 0]}))
+    proc = subprocess.run([sys.executable, "-m", "gaussmanin.cli", "intdep", str(spec),
+                           "--format", "json"], capture_output=True, env=src_env(), timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return hashlib.sha256(proc.stdout).hexdigest()
+
+
 def test_intdep_json_bytes_at_d_plus_h_130(tmp_path):
     # x^10 + y^13 + λxy: 2.8 MB in under a second, where the e61 pin takes 41 MB
     # and seconds; stdout sha256 recorded when cli printed json.dumps(indent=2)
-    spec = tmp_path / "x10y13.json"
-    spec.write_text(json.dumps({"nvars": 2, "monomials": [[10, 0], [0, 13]],
-                                "lambda_monomial": [1, 1], "mu": [0, 0]}))
-    proc = subprocess.run([sys.executable, "-m", "gaussmanin.cli", "intdep", str(spec),
-                           "--format", "json"], capture_output=True, env=src_env(), timeout=60)
-    assert proc.returncode == 0, proc.stderr
-    assert hashlib.sha256(proc.stdout).hexdigest() == \
+    assert _intdep_json_sha256(tmp_path, 10, 13) == \
         "806113c8283c22bc232eaaad195823a18db752f3e0c4b99205860d584181bf87"
+
+
+# stdout sha256 recorded while each product was expanded by d+h or d products
+# with one linear form: 13 MB in 2.2 s at d+h = 238, 81 MB in 29 s at 460
+def test_intdep_json_bytes_at_d_plus_h_238(tmp_path):
+    assert _intdep_json_sha256(tmp_path, 14, 17) == \
+        "be6b27d0da9c25710950e1281bc750c56d22b7276392fde9447dca2b1f286dd0"
+
+
+@pytest.mark.slow
+def test_intdep_json_bytes_at_d_plus_h_460(tmp_path):
+    assert _intdep_json_sha256(tmp_path, 20, 23) == \
+        "f72395a84c2b303a2b08ceb3604c9af5e65f02023db37b545c0b90fa0a4c20ac"
 
 
 # stdout sha256 recorded while each relation coefficient was stored as a

@@ -13,6 +13,7 @@ from gaussmanin import PolySpec, analyze, cli, cyclic_symmetric_spec, load_spec_
 from gaussmanin.errors import MalformedRelation, MalformedSpec
 from gaussmanin.intdep import (
     DependenceRelation,
+    _mul,
     dependence_relation,
     linear_forms,
     verify_identity,
@@ -277,6 +278,129 @@ def test_certificate_matches_the_x_space_oracle_in_2_to_4_variables(seed, n, pos
     relation = dependence_relation(spec)
     for candidate in [relation, *_perturbations(relation)]:
         assert verify_identity(candidate) == _oracle_verify(candidate)
+
+
+# ---------------------------------------------------------------------------
+# The f-power recurrence against the repeated product it replaced
+# ---------------------------------------------------------------------------
+
+def _repeated_products(spec) -> tuple[dict, dict]:
+    """det^(d+h)·Π L^Δ and det^d·Π L^δ on the relation's packed keys, by d+h
+    and d products with one linear form, as `dependence_relation` built them
+    before the recurrence."""
+    rel = analyze(spec)
+    n, mono = spec.n_vars, spec.n_monomials
+    base = rel.d + rel.h + 1
+    places = [1] + [base ** (n - i) for i in range(n)]
+    det = mat_det(spec.mtilde())
+    forms = [{places[v]: int(x * det) for v, x in enumerate(row) if x} for row in rel.mtilde_inv]
+
+    def product(vec):
+        poly = {0: 1}
+        for j in range(mono):
+            for _ in range(vec[j]):
+                poly = _mul(poly, forms[j])
+        return poly
+
+    return product(rel.Delta), product(rel.delta)
+
+
+def _check_against_the_repeated_product(spec):
+    relation = dependence_relation(spec)
+    assert [nums for nums, _ in relation.parts] == list(_repeated_products(spec))
+
+
+def _support(vec) -> int:
+    return sum(1 for a in vec if a)
+
+
+def _specs_by_support() -> dict:
+    """For m = 1..4, the first seeded random spec one of whose products has m
+    factors."""
+    rng = random.Random(27)
+    found = {}
+    while not found.keys() >= {1, 2, 3, 4}:
+        spec = random_spec(rng, max_vars=4, max_entry=4, max_weight=16)
+        rel = analyze(spec)
+        for vec in (rel.Delta, rel.delta):
+            found.setdefault(_support(vec), spec)
+    return found
+
+
+SPECS_BY_SUPPORT = _specs_by_support()
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 4])
+def test_recurrence_matches_the_repeated_product_at_each_number_of_factors(m):
+    _check_against_the_repeated_product(SPECS_BY_SUPPORT[m])
+
+
+@pytest.mark.parametrize("name", ["e2", "e3", "e4", "quintic"])
+def test_recurrence_matches_the_repeated_product_on_the_shipped_specs(request, name):
+    _check_against_the_repeated_product(request.getfixturevalue(name))
+
+
+def test_quintic_delta_has_no_power_above_one(quintic):
+    # q = m: every block of P_d comes from all the blocks above it but P_q's
+    rel = analyze(quintic)
+    assert sum(rel.delta) == _support(rel.delta) == 4
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(0, 2 ** 32), st.integers(2, 4), st.booleans())
+def test_recurrence_matches_the_repeated_product_in_2_to_4_variables(seed, n, positive):
+    rng = random.Random(seed)
+    while True:
+        spec = random_spec(rng, max_vars=4, max_entry=5, max_weight=16)
+        if spec.n_vars == n and (analyze(spec).r > 0) == positive:
+            break
+    _check_against_the_repeated_product(spec)
+
+
+# `intdep --verify` with one line of _power_product's source replaced: argv
+# holds the line as written, the faulted line and the spec file.  A remainder
+# ends in InternalError and exit 1; a fault whose divisions all come out exact
+# makes --verify print FAIL and exit 1
+_FAULTY_RECURRENCE = r"""
+import inspect, sys, textwrap
+from gaussmanin import cli, intdep
+line, faulted, path = sys.argv[1:]
+src = textwrap.dedent(inspect.getsource(intdep._power_product))
+if line not in src:
+    sys.exit(3)
+ns = {}
+exec(src.replace(line, faulted), vars(intdep), ns)
+intdep._power_product = ns["_power_product"]
+sys.exit(cli.main(["intdep", path, "--verify"]))
+"""
+_RECURRENCE_FAULTS = {
+    # C_1(k) at the top step, every coefficient plus 1
+    "multiplier": ("mult = {u: -(k + s) * c for u, c in Qs[m - s].items()}",
+                   "mult = {u: -(k + s) * c + (k + s == q and s == 1)"
+                   " for u, c in Qs[m - s].items()}"),
+    # P_q plus 1; and for the λ^r product only (q = d < d+h), P_q doubled, which
+    # doubles P, leaves every division exact and keeps the relation monic
+    "seed block plus 1": ("forms[j][1] ** vec[j] for j in S)}]",
+                          "forms[j][1] ** vec[j] for j in S) + 1}]"),
+    "seed block doubled": ("forms[j][1] ** vec[j] for j in S)}]",
+                           "forms[j][1] ** vec[j] for j in S) * (1 + (q < base - 1))}]"),
+}
+
+
+@pytest.mark.parametrize("fault", sorted(_RECURRENCE_FAULTS))
+def test_a_faulted_recurrence_never_passes_with_or_without_python_O(fault):
+    line, faulted = _RECURRENCE_FAULTS[fault]
+    proc = run_python("-c", _FAULTY_RECURRENCE, line, line, str(SPEC_DIR / "e2.json"))
+    assert proc.returncode == 0 and proc.stdout.endswith("check: PASS\n"), proc.stderr
+    for name in ("e2", "e3", "e4", "quintic"):
+        path = str(SPEC_DIR / f"{name}.json")
+        for flags in ((), ("-O",)):
+            proc = run_python(*flags, "-c", _FAULTY_RECURRENCE, line, faulted, path)
+            assert proc.returncode == 1, (name, proc.stdout[-200:], proc.stderr)
+            assert "PASS" not in proc.stdout
+            assert proc.stderr.startswith("internal error: ")
+            assert (proc.stdout.endswith("check: FAIL\n")
+                    or "does not divide" in proc.stderr), (name, proc.stderr)
 
 
 # Each fault makes verify_identity return False, never raise; argv holds the
